@@ -62,11 +62,18 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return tokens
 
 
+# Deepest nesting, in parentheses or in slashes, that parse_category
+# accepts: far beyond any lexical category, and shallow enough that the
+# recursive functions on categories stay clear of Python's recursion limit.
+MAX_DEPTH = 64
+
+
 def parse_category(text: str) -> Category:
     """Parse a category expression.
 
     Raises CategoryError (with the offending offset) on unbalanced
-    parentheses, empty input, or a dangling slash.
+    parentheses, empty input, a dangling slash, or nesting deeper than
+    ``MAX_DEPTH``.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -74,15 +81,20 @@ def parse_category(text: str) -> Category:
     def peek() -> tuple[str, int] | None:
         return tokens[pos] if pos < len(tokens) else None
 
-    def parse_term() -> Category:
+    def too_deep(offset: int) -> CategoryError:
+        return CategoryError(f"category nested deeper than {MAX_DEPTH} levels", offset)
+
+    def parse_term(level: int) -> tuple[Category, int]:
         nonlocal pos
         tok = peek()
         if tok is None:
             raise CategoryError("expected a category", len(text))
         value, offset = tok
         if value == "(":
+            if level == MAX_DEPTH:
+                raise too_deep(offset)
             pos += 1
-            inner = parse_expr()
+            inner = parse_expr(level + 1)
             closing = peek()
             if closing is None or closing[0] != ")":
                 raise CategoryError("unbalanced parenthesis", offset)
@@ -91,19 +103,22 @@ def parse_category(text: str) -> Category:
         if value in ")/\\":
             raise CategoryError(f"expected a category, found {value!r}", offset)
         pos += 1
-        return Atom(value)
+        return Atom(value), 0
 
-    def parse_expr() -> Category:
+    def parse_expr(level: int) -> tuple[Category, int]:
         nonlocal pos
-        node = parse_term()
+        node, depth = parse_term(level)
         while True:
             tok = peek()
             if tok is None or tok[0] not in "/\\":
-                return node
+                return node, depth
             pos += 1
-            node = Functor(node, parse_term(), tok[0] == "/")
+            arg, arg_depth = parse_term(level)
+            node, depth = Functor(node, arg, tok[0] == "/"), 1 + max(depth, arg_depth)
+            if depth > MAX_DEPTH:
+                raise too_deep(tok[1])
 
-    result = parse_expr()
+    result, _ = parse_expr(0)
     trailing = peek()
     if trailing is not None:
         raise CategoryError(f"unexpected {trailing[0]!r}", trailing[1])

@@ -153,6 +153,8 @@ def cmd_parse(args) -> int:
     if args.lexicon and args.words is None:
         raise CliError("--lexicon needs --words")
     cfg = _build_config(args)
+    if args.engine == "oracle" and cfg.max_steps is not None:
+        raise CliError("the oracle has no plan-length bound: drop --max-steps and the max_steps key")
     goal = ParseGoal.strict()
     used_cutoff: float | None = None
 

@@ -8,19 +8,25 @@ canonical plan exists per derivation tree reaching the goal, its length
 equal to the tree's internal height, with every node scheduled at
 ``height(tree) - 1 - depth(node)``.
 
-That correspondence lets the enumeration walk single-action reductions
-while tracking the height each constituent would occupy in the levelized
-concurrent schedule, discarding reductions whose height exceeds
-``max_steps``. Reductions reaching the same reduced state are collapsed by
-memoizing packed sub-derivations keyed on (category, producing combinator,
-height) per item, so commutative action orders are explored once. The
-trees found are exactly those denoted by admissible canonical plans;
-``canonical_plan`` rebuilds the concurrent plan for any of them.
+That correspondence lets the enumeration walk reductions while tracking
+the height each constituent would occupy in the levelized concurrent
+schedule, discarding reductions whose height exceeds ``max_steps``. A
+reduction is one binary or ternary rule; a type raise is applied to one
+of its inputs in the same reduction, so raised categories never sit in a
+search state and need no filter. Only a tree root may stand raised: the
+sentence under a strict goal when the raise yields the target, and any
+residue item under best-effort. Reductions reaching the same reduced
+state are collapsed by memoizing packed sub-derivations keyed on
+(category, producing combinator, height) per item, so commutative action
+orders are explored once. The trees found are exactly those denoted by
+admissible canonical plans; ``canonical_plan`` rebuilds the concurrent
+plan for any of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Literal, Sequence
 
 from .asr import Action, AnnotatedCategory, Asr, Plan, step
@@ -95,7 +101,10 @@ def banned(a: Action, s: Asr, cfg: RuleConfig) -> bool:
 # Internal reduction nodes and packed sub-derivations ("recipes"). A recipe
 # is a tree over item indices of some state: ("leaf", i) or
 # ("node", kind, category, children). Rebasing maps a recipe across one
-# reduction so memoized futures compose with any path into the state.
+# reduction so memoized futures compose with any path into the state. A
+# reduction's recipe carries the raises it applied to its inputs, so every
+# raise node in a recipe sits under a binary or ternary node or is a root;
+# states hold no raised item, and nothing filters raises.
 
 
 @dataclass(frozen=True)
@@ -103,133 +112,72 @@ class _Node:
     cat: Category
     kind: CombinatorKind | None
     height: int
-    lo: int  # covered span, in initial item indices
-    hi: int
 
 
-def _reduction_options(state: tuple[_Node, ...], cfg: RuleConfig, limit: int, raise_ok=None):
-    for i, nd in enumerate(state):
-        if nd.kind in RAISE_KINDS:
-            continue
-        if nd.height + 1 > limit:
-            continue
-        for inst in unary_instances(nd.cat, cfg):
-            if raise_ok is None or raise_ok(inst.output, nd.lo, nd.hi):
-                yield i, inst, nd.height + 1
+def _variants(state: tuple[_Node, ...], cfg: RuleConfig, limit: int):
+    """Per item, the ways it can enter a rule: as it stands, or raised.
+    Each way is a (node, recipe) pair. No state item is a raise, so
+    nothing is raised twice."""
+    out = []
+    for j, nd in enumerate(state):
+        leaf = ("leaf", j)
+        ways = [(nd, leaf)]
+        if nd.height < limit:
+            for inst in unary_instances(nd.cat, cfg):
+                raised = _Node(inst.output, inst.kind, nd.height + 1)
+                ways.append((raised, ("node", inst.kind, inst.output, (leaf,))))
+        out.append(ways)
+    return out
+
+
+def _reductions(state: tuple[_Node, ...], variants, cfg: RuleConfig, limit: int):
+    """Every reduction as (index, arity, merged node, recipe over ``state``)."""
     for i in range(len(state) - 1):
-        l, r = state[i], state[i + 1]
-        height = 1 + max(l.height, r.height)
-        if height > limit:
-            continue
-        for inst in binary_instances(l.cat, r.cat, cfg):
-            if cfg.normalize and normal_form_blocked(inst.kind, l.kind, r.kind):
+        for (l, l_recipe), (r, r_recipe) in product(variants[i], variants[i + 1]):
+            height = 1 + max(l.height, r.height)
+            if height > limit:
                 continue
-            yield i, inst, height
+            for inst in binary_instances(l.cat, r.cat, cfg):
+                if cfg.normalize and normal_form_blocked(inst.kind, l.kind, r.kind):
+                    continue
+                recipe = ("node", inst.kind, inst.output, (l_recipe, r_recipe))
+                yield i, 2, _Node(inst.output, inst.kind, height), recipe
+    if CombinatorKind.COORD not in cfg.enabled:
+        return
     for i in range(len(state) - 2):
-        a, b, c = state[i], state[i + 1], state[i + 2]
-        height = 1 + max(a.height, b.height, c.height)
-        if height > limit:
-            continue
-        for inst in ternary_instances(a.cat, b.cat, c.cat, cfg):
-            yield i, inst, height
+        for ways in product(variants[i], variants[i + 1], variants[i + 2]):
+            nodes, recipes = zip(*ways)
+            height = 1 + max(nd.height for nd in nodes)
+            if height > limit:
+                continue
+            for inst in ternary_instances(*(nd.cat for nd in nodes), cfg):
+                yield i, 3, _Node(inst.output, inst.kind, height), ("node", inst.kind, inst.output, recipes)
 
 
-def _successor(state, i, arity, inst, height):
-    merged = _Node(inst.output, inst.kind, height, state[i].lo, state[i + arity - 1].hi)
-    return state[:i] + (merged,) + state[i + arity :]
-
-
-def _approx_cells(cats: tuple[Category, ...], cfg: RuleConfig) -> dict[tuple[int, int], frozenset[Category]]:
-    """Categories derivable over each span, ignoring bans and plan length.
-
-    An over-approximation of what the search can ever place on a span,
-    used only to discard type raises that no reachable neighbor category
-    could consume.
-    """
-
-    def closed(base: set[Category]) -> frozenset[Category]:
-        out = set(base)
-        for c in base:
-            out.update(inst.output for inst in unary_instances(c, cfg))
-        return frozenset(out)
-
-    k = len(cats)
-    cells = {(i, i + 1): closed({cats[i]}) for i in range(k)}
-    for length in range(2, k + 1):
-        for i in range(k - length + 1):
-            j = i + length
-            base: set[Category] = set()
-            for m in range(i + 1, j):
-                for l in cells[(i, m)]:
-                    for r in cells[(m, j)]:
-                        base.update(inst.output for inst in binary_instances(l, r, cfg))
-            cells[(i, j)] = closed(base)
-    return cells
-
-
-def _raise_filter(initial: Asr, cfg: RuleConfig, target: Category):
-    """Strict-mode viability test for scheduling a type raise.
-
-    In a strict parse every item is eventually consumed, so a raise is
-    worth scheduling only if its output could combine with something
-    derivable over an adjacent span (or is itself the goal). Best-effort
-    search must not use this: a raised category may stand as residue.
-    """
-    if CombinatorKind.COORD in cfg.enabled:
-        return None  # coordination consumes equal categories; keep everything
-    cats = tuple(it.cat for it in initial.items)
-    cells = _approx_cells(cats, cfg)
-    k = len(cats)
-    left_union = {
-        b: frozenset().union(*(cells[(x, b)] for x in range(b))) if b else frozenset()
-        for b in range(k + 1)
-    }
-    right_union = {
-        a: frozenset().union(*(cells[(a, y)] for y in range(a + 1, k + 1))) if a < k else frozenset()
-        for a in range(k + 1)
-    }
-    cache: dict[tuple[Category, int, int], bool] = {}
-
-    def ok(output: Category, lo: int, hi: int) -> bool:
-        key = (output, lo, hi)
-        cached = cache.get(key)
-        if cached is None:
-            cached = (
-                output == target
-                or any(binary_instances(output, p, cfg) for p in right_union[hi])
-                or any(binary_instances(p, output, cfg) for p in left_union[lo])
-            )
-            cache[key] = cached
-        return cached
-
-    return ok
-
-
-def _rebase(recipe, i: int, arity: int, inst):
+def _rebase(recipe, i: int, arity: int, built):
     if recipe[0] == "leaf":
         j = recipe[1]
         if j < i:
             return recipe
         if j == i:
-            kids = tuple(("leaf", i + k) for k in range(arity))
-            return ("node", inst.kind, inst.output, kids)
+            return built
         return ("leaf", j + arity - 1)
     _, kind, cat, kids = recipe
-    return ("node", kind, cat, tuple(_rebase(k, i, arity, inst) for k in kids))
+    return ("node", kind, cat, tuple(_rebase(k, i, arity, built) for k in kids))
 
 
-def _strict_recipes(state, cfg, limit, target, memo, raise_ok):
+def _strict_recipes(state, cfg, limit, target, memo):
     cached = memo.get(state)
     if cached is not None:
         return cached
+    variants = _variants(state, cfg, limit)
     found = set()
-    if len(state) == 1 and state[0].cat == target:
-        found.add(("leaf", 0))
-    for i, inst, height in _reduction_options(state, cfg, limit, raise_ok):
-        arity = len(inst.inputs)
-        successor = _successor(state, i, arity, inst, height)
-        for sub in _strict_recipes(successor, cfg, limit, target, memo, raise_ok):
-            found.add(_rebase(sub, i, arity, inst))
+    if len(state) == 1:
+        found.update(recipe for nd, recipe in variants[0] if nd.cat == target)
+    for i, arity, merged, built in _reductions(state, variants, cfg, limit):
+        successor = state[:i] + (merged,) + state[i + arity :]
+        for sub in _strict_recipes(successor, cfg, limit, target, memo):
+            found.add(_rebase(sub, i, arity, built))
     result = frozenset(found)
     memo[state] = result
     return result
@@ -239,19 +187,21 @@ def _residue_recipes(state, cfg, limit, memo):
     cached = memo.get(state)
     if cached is not None:
         return cached
+    variants = _variants(state, cfg, limit)
     best = len(state)
-    forests = {tuple(("leaf", j) for j in range(len(state)))}
-    for i, inst, height in _reduction_options(state, cfg, limit):
-        arity = len(inst.inputs)
-        successor = _successor(state, i, arity, inst, height)
+    forests = set()
+    for i, arity, merged, built in _reductions(state, variants, cfg, limit):
+        successor = state[:i] + (merged,) + state[i + arity :]
         sub_best, sub_forests = _residue_recipes(successor, cfg, limit, memo)
-        if sub_best > best:
-            continue
         if sub_best < best:
             best = sub_best
             forests = set()
-        for forest in sub_forests:
-            forests.add(tuple(_rebase(t, i, arity, inst) for t in forest))
+        if sub_best == best:
+            forests.update(tuple(_rebase(t, i, arity, built) for t in f) for f in sub_forests)
+    if best == len(state):
+        # every reduction shortens the state, so none applies: the items
+        # are the residue, each as it stands or raised
+        forests = set(product(*([recipe for _, recipe in ways] for ways in variants)))
     result = (best, frozenset(forests))
     memo[state] = result
     return result
@@ -273,10 +223,7 @@ def _materialize(recipe, items: tuple[AnnotatedCategory, ...]) -> DerivationTree
 def _initial_state(initial: Asr) -> tuple[_Node, ...]:
     if initial.time != 0:
         raise ValueError("enumeration starts from a time-0 state")
-    return tuple(
-        _Node(it.cat, initial.last_action.get(it.pos), 0, i, i + 1)
-        for i, it in enumerate(initial.items)
-    )
+    return tuple(_Node(it.cat, initial.last_action.get(it.pos), 0) for it in initial.items)
 
 
 def enumerate_parses(initial: Asr, cfg: RuleConfig, goal: ParseGoal) -> set[DerivationTree]:
@@ -286,8 +233,7 @@ def enumerate_parses(initial: Asr, cfg: RuleConfig, goal: ParseGoal) -> set[Deri
         raise ValueError("enumerate_parses handles strict goals; use best_effort")
     state = _initial_state(initial)
     limit = effective_max_steps(cfg, len(initial.items))
-    raise_ok = _raise_filter(initial, cfg, goal.target) if cfg.enabled & RAISE_KINDS else None
-    recipes = _strict_recipes(state, cfg, limit, goal.target, {}, raise_ok)
+    recipes = _strict_recipes(state, cfg, limit, goal.target, {})
     return {_materialize(r, initial.items) for r in recipes}
 
 

@@ -62,10 +62,6 @@ def leaves(t: DerivationTree) -> tuple[Leaf, ...]:
     return tuple(out)
 
 
-def leftmost_pos(t: DerivationTree) -> int:
-    return leaves(t)[0].pos
-
-
 def node_count(t: DerivationTree) -> int:
     return 1 + sum(node_count(c) for c in children(t))
 

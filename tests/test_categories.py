@@ -86,3 +86,20 @@ def test_parse_ignores_spaces_around_operators(c):
     text = print_category(c)
     spaced = text.replace("/", " / ").replace("\\", " \\ ").replace("(", "( ")
     assert parse_category(spaced) == c
+
+
+def test_nesting_up_to_the_bound_parses():
+    from ccgplan.categories import MAX_DEPTH
+
+    assert parse_category("(" * MAX_DEPTH + "S" + ")" * MAX_DEPTH) == S
+    c = parse_category("S" + "/NP" * MAX_DEPTH)
+    for _ in range(MAX_DEPTH):
+        assert c.arg == NP
+        c = c.result
+    assert c == S
+
+
+@pytest.mark.parametrize("text", ["(" * 600 + "S" + ")" * 600, "S" + "/NP" * 600, "S/(" * 600 + "S" + ")" * 600])
+def test_nesting_past_the_bound_is_a_category_error(text):
+    with pytest.raises(CategoryError, match="nested deeper"):
+        parse_category(text)

@@ -166,3 +166,31 @@ def test_compare_best_effort(lexicon_file, capsys):
     code = main(["compare", "--lexicon", lexicon_file, "--words", "The dog bit", "--goal", "best-effort"])
     assert code == 0
     assert "engines agree" in capsys.readouterr().out
+
+
+DEEP_CATEGORY = "(" * 600 + "S" + ")" * 600
+
+
+def test_parse_deeply_nested_category_is_one_error_line(tmp_path, capsys):
+    lex = tmp_path / "deep.txt"
+    lex.write_text(f"John\tNP\nleft\t{DEEP_CATEGORY}\n", encoding="utf-8")
+    assert main(["parse", "--lexicon", str(lex), "--words", "John left"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "nested deeper" in err[0]
+
+
+def test_check_deeply_nested_category(tmp_path, capsys):
+    lex = tmp_path / "deep.txt"
+    lex.write_text(f"John\tNP\nleft\t{DEEP_CATEGORY}\n", encoding="utf-8")
+    assert main(["check", "--lexicon", str(lex)]) == 1
+    assert capsys.readouterr().out.startswith(f"{lex}:2: bad category")
+
+
+def test_parse_oracle_rejects_a_plan_length_bound(lexicon_file, tmp_path, capsys):
+    words = ["--lexicon", lexicon_file, "--words", "The dog bit John", "--engine", "oracle"]
+    assert main(["parse", *words, "--max-steps", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    rules = tmp_path / "rules.cfg"
+    rules.write_text("max_steps = 3\n", encoding="utf-8")
+    assert main(["parse", *words, "--rules", str(rules)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
