@@ -110,14 +110,15 @@ def _best_effort(ts: TaggedSentence, cfg: RuleConfig, engine: str):
 
 def _render_documents(parses, fmt: str) -> list[str]:
     docs = []
-    for entry in sorted(parses, key=_sort_key):
+    # the sort key holds each tree's JSON document, so JSON reuses it
+    for key, entry in sorted(((_sort_key(entry), entry) for entry in parses), key=lambda keyed: keyed[0]):
         if fmt == "ascii":
             docs.append(to_ascii(entry))
         elif fmt == "json":
             if isinstance(entry, tuple):
-                docs.append(json.dumps([json.loads(to_json(t)) for t in entry], indent=2, sort_keys=True))
+                docs.append(json.dumps([json.loads(doc) for doc in key], indent=2, sort_keys=True))
             else:
-                docs.append(to_json(entry))
+                docs.append(key[0])
         else:
             docs.append(to_dot(entry))
     return docs

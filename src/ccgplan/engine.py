@@ -15,12 +15,18 @@ reduction is one binary or ternary rule; a type raise is applied to one
 of its inputs in the same reduction, so raised categories never sit in a
 search state and need no filter. Only a tree root may stand raised: the
 sentence under a strict goal when the raise yields the target, and any
-residue item under best-effort. Reductions reaching the same reduced
-state are collapsed by memoizing packed sub-derivations keyed on
-(category, producing combinator, height) per item, so commutative action
-orders are explored once. The trees found are exactly those denoted by
-admissible canonical plans; ``canonical_plan`` rebuilds the concurrent
-plan for any of them.
+residue item under best-effort.
+
+Each search interns its nodes, the (category, producing combinator,
+height) of an item, to ints, and a state is the tuple of its items' node
+ids. Reductions reaching the same state are collapsed by memoizing packed
+sub-derivations per state, so commutative action orders are explored
+once. What an adjacent pair of nodes (or triple, under coordination) can
+reduce to depends on those nodes alone, so it is computed once per search
+and reused in every state where they are adjacent; the rule instances of
+a category pair and the raises of a category are computed once too. The
+trees found are exactly those denoted by admissible canonical plans;
+``canonical_plan`` rebuilds the concurrent plan for any of them.
 """
 
 from __future__ import annotations
@@ -98,101 +104,155 @@ def banned(a: Action, s: Asr, cfg: RuleConfig) -> bool:
     return normal_form_blocked(a.kind, left, right)
 
 
-# Internal reduction nodes and packed sub-derivations ("recipes"). A recipe
-# is a tree over item indices of some state: ("leaf", i) or
-# ("node", kind, category, children). Rebasing maps a recipe across one
-# reduction so memoized futures compose with any path into the state. A
+# A search's packed sub-derivations ("recipes") are trees of ints over the
+# item indices of some state: a leaf is the item's index, a node is (label
+# id, children), where a label is an interned (combinator, category).
+# Rebasing maps a recipe across one reduction so memoized futures compose
+# with any path into the state; ``_materialize`` translates labels back. A
 # reduction's recipe carries the raises it applied to its inputs, so every
-# raise node in a recipe sits under a binary or ternary node or is a root;
-# states hold no raised item, and nothing filters raises.
+# raise node in a recipe sits under a binary or ternary node or is a root.
 
 
-@dataclass(frozen=True)
-class _Node:
-    cat: Category
-    kind: CombinatorKind | None
-    height: int
+def _intern(ids: dict, values: list, value) -> int:
+    found = ids.get(value)
+    if found is None:
+        found = ids[value] = len(values)
+        values.append(value)
+    return found
 
 
-def _variants(state: tuple[_Node, ...], cfg: RuleConfig, limit: int):
-    """Per item, the ways it can enter a rule: as it stands, or raised.
-    Each way is a (node, recipe) pair. No state item is a raise, so
-    nothing is raised twice."""
-    out = []
-    for j, nd in enumerate(state):
-        leaf = ("leaf", j)
-        ways = [(nd, leaf)]
-        if nd.height < limit:
-            for inst in unary_instances(nd.cat, cfg):
-                raised = _Node(inst.output, inst.kind, nd.height + 1)
-                ways.append((raised, ("node", inst.kind, inst.output, (leaf,))))
-        out.append(ways)
-    return out
+class _Tables:
+    """One search's interned values and the rule work done so far.
 
+    Categories, nodes (category id, producing combinator, height) and
+    labels (combinator, category id) are each a dict from value to id plus
+    the list of values by id.
+    """
 
-def _reductions(state: tuple[_Node, ...], variants, cfg: RuleConfig, limit: int):
-    """Every reduction as (index, arity, merged node, recipe over ``state``)."""
-    for i in range(len(state) - 1):
-        for (l, l_recipe), (r, r_recipe) in product(variants[i], variants[i + 1]):
-            height = 1 + max(l.height, r.height)
-            if height > limit:
+    def __init__(self, cfg: RuleConfig, limit: int):
+        self.cfg = cfg
+        self.limit = limit
+        self.arities = (2, 3) if CombinatorKind.COORD in cfg.enabled else (2,)
+        self.cat_ids: dict[Category, int] = {}
+        self.cats: list[Category] = []
+        self.node_ids: dict[tuple, int] = {}
+        self.nodes: list[tuple[int, CombinatorKind | None, int]] = []
+        self.label_ids: dict[tuple, int] = {}
+        self.labels: list[tuple[CombinatorKind, int]] = []
+        self.rules: dict[tuple[int, ...], list[tuple[CombinatorKind, int]]] = {}
+        self.ways_of: dict[int, list[tuple[int, int | None]]] = {}
+        self.reduced: dict[tuple[int, ...], list[tuple[int, int, tuple[int | None, ...]]]] = {}
+
+    def cat(self, c: Category) -> int:
+        return _intern(self.cat_ids, self.cats, c)
+
+    def node(self, cat: int, kind: CombinatorKind | None, height: int) -> int:
+        return _intern(self.node_ids, self.nodes, (cat, kind, height))
+
+    def label(self, kind: CombinatorKind, cat: int) -> int:
+        return _intern(self.label_ids, self.labels, (kind, cat))
+
+    def ways(self, nid: int) -> list[tuple[int, int | None]]:
+        """The ways a node can enter a rule or stand as a root, as (node,
+        raise label): as it stands (label None), or raised within the
+        height bound. No state node is a raise, so nothing is raised twice."""
+        ways = self.ways_of.get(nid)
+        if ways is None:
+            cat, _, height = self.nodes[nid]
+            ways = [(nid, None)]
+            if height < self.limit:
+                raises = self.instances((cat,))
+                ways += [(self.node(out, kind, height + 1), self.label(kind, out)) for kind, out in raises]
+            self.ways_of[nid] = ways
+        return ways
+
+    def instances(self, cats: tuple[int, ...]) -> list[tuple[CombinatorKind, int]]:
+        """The rule instances over one category (its raises), a pair, or a
+        triple under coordination, as (combinator, output category)."""
+        insts = self.rules.get(cats)
+        if insts is None:
+            inputs = [self.cats[c] for c in cats]
+            if len(cats) == 1:
+                found = unary_instances(*inputs, self.cfg)
+            elif len(cats) == 2:
+                found = binary_instances(*inputs, self.cfg)
+            else:
+                found = ternary_instances(*inputs, self.cfg)
+            insts = self.rules[cats] = [(inst.kind, self.cat(inst.output)) for inst in found]
+        return insts
+
+    def reductions(self, key: tuple[int, ...]) -> list[tuple[int, int, tuple[int | None, ...]]]:
+        """The reductions of adjacent nodes (a pair, or a triple for
+        coordination) as (merged node, label, raise label per input)."""
+        found = self.reduced.get(key)
+        if found is not None:
+            return found
+        found = []
+        for ways in product(*(self.ways(nid) for nid in key)):
+            nodes = [self.nodes[nid] for nid, _ in ways]
+            insts = self.instances(tuple([cat for cat, _, _ in nodes]))
+            if not insts:
                 continue
-            for inst in binary_instances(l.cat, r.cat, cfg):
-                if cfg.normalize and normal_form_blocked(inst.kind, l.kind, r.kind):
+            height = 1 + max([h for _, _, h in nodes])
+            if height > self.limit:
+                continue
+            raises = tuple([r for _, r in ways])
+            for kind, out in insts:
+                if self.cfg.normalize and normal_form_blocked(kind, nodes[0][1], nodes[-1][1]):
                     continue
-                recipe = ("node", inst.kind, inst.output, (l_recipe, r_recipe))
-                yield i, 2, _Node(inst.output, inst.kind, height), recipe
-    if CombinatorKind.COORD not in cfg.enabled:
-        return
-    for i in range(len(state) - 2):
-        for ways in product(variants[i], variants[i + 1], variants[i + 2]):
-            nodes, recipes = zip(*ways)
-            height = 1 + max(nd.height for nd in nodes)
-            if height > limit:
-                continue
-            for inst in ternary_instances(*(nd.cat for nd in nodes), cfg):
-                yield i, 3, _Node(inst.output, inst.kind, height), ("node", inst.kind, inst.output, recipes)
+                found.append((self.node(out, kind, height), self.label(kind, out), raises))
+        self.reduced[key] = found
+        return found
+
+
+def _input(j: int, raise_label: int | None):
+    return j if raise_label is None else (raise_label, (j,))
+
+
+def _successors(state: tuple[int, ...], tables: _Tables):
+    """Every reduction of a state as (index, arity, successor state,
+    recipe over ``state``)."""
+    for arity in tables.arities:
+        for i in range(len(state) - arity + 1):
+            for merged, label, raises in tables.reductions(state[i : i + arity]):
+                built = (label, tuple([_input(j, r) for j, r in enumerate(raises, i)]))
+                yield i, arity, state[:i] + (merged,) + state[i + arity :], built
 
 
 def _rebase(recipe, i: int, arity: int, built):
-    if recipe[0] == "leaf":
-        j = recipe[1]
-        if j < i:
+    if recipe.__class__ is int:
+        if recipe < i:
             return recipe
-        if j == i:
+        if recipe == i:
             return built
-        return ("leaf", j + arity - 1)
-    _, kind, cat, kids = recipe
-    return ("node", kind, cat, tuple(_rebase(k, i, arity, built) for k in kids))
+        return recipe + arity - 1
+    label, kids = recipe
+    return (label, tuple([_rebase(k, i, arity, built) for k in kids]))
 
 
-def _strict_recipes(state, cfg, limit, target, memo):
+def _strict_recipes(state, tables, target, memo):
     cached = memo.get(state)
     if cached is not None:
         return cached
-    variants = _variants(state, cfg, limit)
     found = set()
     if len(state) == 1:
-        found.update(recipe for nd, recipe in variants[0] if nd.cat == target)
-    for i, arity, merged, built in _reductions(state, variants, cfg, limit):
-        successor = state[:i] + (merged,) + state[i + arity :]
-        for sub in _strict_recipes(successor, cfg, limit, target, memo):
+        found.update(_input(0, r) for nid, r in tables.ways(state[0]) if tables.nodes[nid][0] == target)
+    for i, arity, successor, built in _successors(state, tables):
+        for sub in _strict_recipes(successor, tables, target, memo):
             found.add(_rebase(sub, i, arity, built))
     result = frozenset(found)
     memo[state] = result
     return result
 
 
-def _residue_recipes(state, cfg, limit, memo):
+def _residue_recipes(state, tables, memo):
     cached = memo.get(state)
     if cached is not None:
         return cached
-    variants = _variants(state, cfg, limit)
     best = len(state)
     forests = set()
-    for i, arity, merged, built in _reductions(state, variants, cfg, limit):
-        successor = state[:i] + (merged,) + state[i + arity :]
-        sub_best, sub_forests = _residue_recipes(successor, cfg, limit, memo)
+    for i, arity, successor, built in _successors(state, tables):
+        sub_best, sub_forests = _residue_recipes(successor, tables, memo)
         if sub_best < best:
             best = sub_best
             forests = set()
@@ -201,18 +261,20 @@ def _residue_recipes(state, cfg, limit, memo):
     if best == len(state):
         # every reduction shortens the state, so none applies: the items
         # are the residue, each as it stands or raised
-        forests = set(product(*([recipe for _, recipe in ways] for ways in variants)))
+        forests = set(product(*([_input(j, r) for _, r in tables.ways(nid)] for j, nid in enumerate(state))))
     result = (best, frozenset(forests))
     memo[state] = result
     return result
 
 
-def _materialize(recipe, items: tuple[AnnotatedCategory, ...]) -> DerivationTree:
-    if recipe[0] == "leaf":
-        item = items[recipe[1]]
+def _materialize(recipe, items: tuple[AnnotatedCategory, ...], tables: _Tables) -> DerivationTree:
+    if recipe.__class__ is int:
+        item = items[recipe]
         return Leaf(None, item.cat, item.pos)
-    _, kind, cat, kids = recipe
-    built = tuple(_materialize(k, items) for k in kids)
+    label, kids = recipe
+    kind, cat_id = tables.labels[label]
+    cat = tables.cats[cat_id]
+    built = [_materialize(k, items, tables) for k in kids]
     if len(built) == 1:
         return Unary(kind, cat, built[0])
     if len(built) == 2:
@@ -220,10 +282,13 @@ def _materialize(recipe, items: tuple[AnnotatedCategory, ...]) -> DerivationTree
     return Ternary(kind, cat, built[0], built[1], built[2])
 
 
-def _initial_state(initial: Asr) -> tuple[_Node, ...]:
+def _start(initial: Asr, cfg: RuleConfig) -> tuple[_Tables, tuple[int, ...]]:
+    """A search's tables and its initial state of node ids."""
     if initial.time != 0:
         raise ValueError("enumeration starts from a time-0 state")
-    return tuple(_Node(it.cat, initial.last_action.get(it.pos), 0) for it in initial.items)
+    tables = _Tables(cfg, effective_max_steps(cfg, len(initial.items)))
+    state = tuple(tables.node(tables.cat(it.cat), initial.last_action.get(it.pos), 0) for it in initial.items)
+    return tables, state
 
 
 def enumerate_parses(initial: Asr, cfg: RuleConfig, goal: ParseGoal) -> set[DerivationTree]:
@@ -231,18 +296,16 @@ def enumerate_parses(initial: Asr, cfg: RuleConfig, goal: ParseGoal) -> set[Deri
     within ``max_steps``. Empty when the goal is unreachable."""
     if goal.mode != "strict":
         raise ValueError("enumerate_parses handles strict goals; use best_effort")
-    state = _initial_state(initial)
-    limit = effective_max_steps(cfg, len(initial.items))
-    recipes = _strict_recipes(state, cfg, limit, goal.target, {})
-    return {_materialize(r, initial.items) for r in recipes}
+    tables, state = _start(initial, cfg)
+    recipes = _strict_recipes(state, tables, tables.cat(goal.target), {})
+    return {_materialize(r, initial.items, tables) for r in recipes}
 
 
 def best_effort(initial: Asr, cfg: RuleConfig) -> tuple[int, set[tuple[DerivationTree, ...]]]:
     """Minimal reachable residue length and every forest achieving it."""
-    state = _initial_state(initial)
-    limit = effective_max_steps(cfg, len(initial.items))
-    best, forests = _residue_recipes(state, cfg, limit, {})
-    return best, {tuple(_materialize(t, initial.items) for t in f) for f in forests}
+    tables, state = _start(initial, cfg)
+    best, forests = _residue_recipes(state, tables, {})
+    return best, {tuple(_materialize(t, initial.items, tables) for t in f) for f in forests}
 
 
 def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):

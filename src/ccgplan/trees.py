@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .categories import Category
@@ -79,14 +79,14 @@ def tree_height(t: DerivationTree) -> int:
 def attach_words(t: DerivationTree, words: Mapping[int, str]) -> DerivationTree:
     """Return an equal-shaped tree whose leaves carry the given words."""
     if isinstance(t, Leaf):
-        word = words.get(t.pos, t.word)
-        return replace(t, word=word)
-    kids = tuple(attach_words(c, words) for c in children(t))
+        return Leaf(words.get(t.pos, t.word), t.cat, t.pos)
     if isinstance(t, Unary):
-        return replace(t, child=kids[0])
+        return Unary(t.kind, t.cat, attach_words(t.child, words))
     if isinstance(t, Binary):
-        return replace(t, left=kids[0], right=kids[1])
-    return replace(t, left=kids[0], mid=kids[1], right=kids[2])
+        return Binary(t.kind, t.cat, attach_words(t.left, words), attach_words(t.right, words))
+    return Ternary(
+        t.kind, t.cat, attach_words(t.left, words), attach_words(t.mid, words), attach_words(t.right, words)
+    )
 
 
 def check_tree(t: DerivationTree) -> bool:

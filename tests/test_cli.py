@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ccgplan import ParseGoal, RuleConfig, load_lexicon, parse_all, tag_with_lexicon, to_json
 from ccgplan.cli import main
 
 LADDER_SUPERTAGS = (
@@ -66,6 +67,21 @@ def test_parse_json_format(lexicon_file, capsys):
     body = out.split("# parse 1 of 1\n", 1)[1].rsplit("mode=", 1)[0]
     doc = json.loads(body)
     assert doc["kind"] == "BwdAppl"
+
+
+def test_parse_best_effort_json_documents_list_each_forest(lexicon_file, demo_lexicon_text, tmp_path, capsys):
+    out_dir = tmp_path / "forests"
+    code = main(
+        ["parse", "--lexicon", lexicon_file, "--words", "dog John", "--format", "json", "--out", str(out_dir)]
+    )
+    assert code == 2
+    ts = tag_with_lexicon(["dog", "John"], load_lexicon(demo_lexicon_text))
+    _, forests = parse_all(ts, RuleConfig(), ParseGoal.best_effort())
+    ordered = sorted(forests, key=lambda forest: tuple(to_json(t) for t in forest))
+    expected = [json.dumps([json.loads(to_json(t)) for t in forest], indent=2, sort_keys=True) for forest in ordered]
+    written = [path.read_text(encoding="utf-8") for path in sorted(out_dir.glob("*.json"))]
+    assert len(expected) > 1
+    assert written == [doc + "\n" for doc in expected]
 
 
 def test_parse_writes_documents(lexicon_file, tmp_path, capsys):

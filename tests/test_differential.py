@@ -2,9 +2,10 @@
 
 The plan engine is checked against the brute-force concurrent-plan search
 with all nine combinators enabled, and against the chart oracle on
-sentences whose tokens have one or two candidate categories. The oracle
-has no plan-length bound, so its trees are cut to ``tree_height <=
-max_steps`` before comparing.
+sentences whose tokens have one or two candidate categories, under both
+goals. The oracle has no plan-length bound, so its strict trees are cut
+to ``tree_height <= max_steps`` before comparing, and best-effort runs
+with ``max_steps = 2n+1``, which admits every tree over n words.
 """
 
 import random
@@ -113,6 +114,21 @@ def test_engine_matches_oracle_with_candidate_sets():
         limit = effective_max_steps(cfg, len(cats))
         oracle = {t for t in chart_parse_all(ts, cfg, goal) if tree_height(t) <= limit}
         assert parse_all(ts, cfg, goal) == oracle, f"case {case}: {tokens} {cfg}"
+
+
+def test_engine_matches_oracle_best_effort_with_candidate_sets():
+    rng = random.Random(727)
+    goal = ParseGoal.best_effort()
+    for case in range(40):
+        cats = _sentence(rng, LONG_SHAPES)
+        tokens = tuple(
+            Token(f"w{i}", (Candidate(c),) + ((Candidate(C(rng.choice(POOL))),) if rng.random() < 0.5 else ()))
+            for i, c in enumerate(cats)
+        )
+        ts = TaggedSentence(tokens)
+        enabled = ALL_RULES if case % 2 else RuleConfig().enabled
+        cfg = RuleConfig(enabled=enabled, normalize=case // 2 % 2 == 0, max_steps=2 * len(cats) + 1)
+        assert parse_all(ts, cfg, goal) == chart_parse_all(ts, cfg, goal), f"case {case}: {tokens} {cfg}"
 
 
 def _tagged(*entries):

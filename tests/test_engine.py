@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+import ccgplan.engine
 from ccgplan import (
     Action,
     AnnotatedCategory,
@@ -21,6 +23,8 @@ from ccgplan import (
     canonical_plan,
     check_tree,
     enumerate_parses,
+    initial_asrs,
+    load_lexicon,
     parse_all,
     parse_category,
     replay_plan,
@@ -252,6 +256,34 @@ def test_enumerate_rejects_started_state():
 def test_all_enumerated_trees_are_sound():
     trees = enumerate_parses(demo_asr(), RuleConfig(normalize=False, max_steps=5), ParseGoal.strict())
     assert all(check_tree(t) for t in trees)
+
+
+PP_WORDS = "The dog saw the man with the telescope in the park near the river by the tree".split()
+PP_LEXICON = "\n".join(
+    ["The\tNP/N", "the\tNP/N", "saw\t(S\\NP)/NP"]
+    + [f"{noun}\tN" for noun in ("dog", "man", "telescope", "park", "river", "tree")]
+    + [f"{p}\t(NP\\NP)/NP\n{p}\t((S\\NP)\\(S\\NP))/NP" for p in ("with", "in", "near", "by")]
+)
+
+
+@pytest.mark.parametrize("length, normalize, count", [(14, True, 14), (8, False, 524)])
+def test_each_category_pair_is_combined_once_per_search(monkeypatch, length, normalize, count):
+    calls = []
+    original = ccgplan.engine.binary_instances
+
+    def recording(l, r, cfg):
+        calls.append((l, r))
+        return original(l, r, cfg)
+
+    monkeypatch.setattr(ccgplan.engine, "binary_instances", recording)
+    ts = tag_with_lexicon(PP_WORDS[:length], load_lexicon(PP_LEXICON))
+    trees = set()
+    for asr in initial_asrs(ts):
+        calls.clear()
+        trees |= enumerate_parses(asr, RuleConfig(normalize=normalize), ParseGoal.strict())
+        repeated = [pair for pair, times in Counter(calls).items() if times > 1]
+        assert calls and not repeated, f"{len(repeated)} category pairs combined more than once"
+    assert len(trees) == count
 
 
 # best effort
