@@ -23,7 +23,6 @@ from .lexicon import (
 from .oracle import ChartLimitError, chart_parse_all
 from .render import to_ascii, to_dot, to_json
 from .rules import RuleConfig, RuleConfigError, load_rule_config
-from .trees import DerivationTree
 
 DEFAULT_CUTOFFS = (0.075, 0.03, 0.01)
 
@@ -32,22 +31,6 @@ _EXT = {"ascii": "txt", "json": "json", "dot": "dot"}
 
 class CliError(Exception):
     """User-facing failure; the CLI exits 1 with the message."""
-
-
-@dataclasses.dataclass
-class RunReport:
-    mode: str
-    residue: int
-    parses: int
-    paths: tuple[str, ...]
-    wall: float
-    cutoff: float | None = None
-
-    def summary(self) -> str:
-        line = f"mode={self.mode} residue={self.residue} parses={self.parses} wall={self.wall:.3f}s"
-        if self.cutoff is not None:
-            line += f" cutoff={self.cutoff:g}"
-        return line
 
 
 def _read_text(path: str, what: str) -> str:
@@ -59,15 +42,15 @@ def _read_text(path: str, what: str) -> str:
 
 def _build_config(args) -> RuleConfig:
     cfg = RuleConfig()
-    if getattr(args, "rules", None):
+    if args.rules:
         try:
             cfg = load_rule_config(_read_text(args.rules, "rule config"), cfg)
         except RuleConfigError as exc:
             raise CliError(f"{args.rules}: {exc}") from exc
     overrides = {}
-    if getattr(args, "normalize", None) is not None:
+    if args.normalize is not None:
         overrides["normalize"] = args.normalize == "on"
-    if getattr(args, "max_steps", None) is not None:
+    if args.max_steps is not None:
         overrides["max_steps"] = args.max_steps
     if overrides:
         try:
@@ -95,17 +78,24 @@ def _tagged_from_lexicon(args) -> TaggedSentence:
     return tag_with_lexicon(words, lex)
 
 
-def _strict_parses(ts: TaggedSentence, cfg: RuleConfig, engine: str, target_goal: ParseGoal):
-    if engine == "oracle":
-        return chart_parse_all(ts, cfg, target_goal)
-    return parse_all(ts, cfg, target_goal)
+def _check_input(args) -> None:
+    if bool(args.supertags) == bool(args.lexicon):
+        raise CliError("give exactly one input: --lexicon with --words, or --supertags")
+    if args.lexicon and args.words is None:
+        raise CliError("--lexicon needs --words")
 
 
-def _best_effort(ts: TaggedSentence, cfg: RuleConfig, engine: str):
-    goal = ParseGoal.best_effort()
-    if engine == "oracle":
-        return chart_parse_all(ts, cfg, goal)
-    return parse_all(ts, cfg, goal)
+def _sentences(args):
+    """The supertag cutoff ladder and a reader from a cutoff to the tagged
+    sentence; lexicon input has the single cutoff None."""
+    if args.lexicon:
+        return (None,), lambda _cutoff: _tagged_from_lexicon(args)
+    source = _read_text(args.supertags, "supertag file")
+    return _parse_cutoffs(args.cutoffs), lambda cutoff: ingest_supertags(source, cutoff)
+
+
+def _search(ts: TaggedSentence, cfg: RuleConfig, engine: str, goal: ParseGoal):
+    return (chart_parse_all if engine == "oracle" else parse_all)(ts, cfg, goal)
 
 
 def _render_documents(parses, fmt: str) -> list[str]:
@@ -130,77 +120,57 @@ def _sort_key(entry):
     return (to_json(entry),)
 
 
-def _emit(docs: list[str], fmt: str, out_dir: str | None) -> tuple[str, ...]:
+def _emit(docs: list[str], fmt: str, out_dir: str | None) -> list[str]:
     if out_dir is None:
         for k, doc in enumerate(docs, start=1):
             print(f"# parse {k} of {len(docs)}")
             print(doc)
             print()
-        return ()
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for k, doc in enumerate(docs, start=1):
-        path = directory / f"parse_{k:04d}.{_EXT[fmt]}"
-        path.write_text(doc + "\n", encoding="utf-8")
-        paths.append(str(path))
-    return tuple(paths)
+        return []
+    paths = [Path(out_dir) / f"parse_{k:04d}.{_EXT[fmt]}" for k in range(1, len(docs) + 1)]
+    try:
+        if docs:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        for path, doc in zip(paths, docs):
+            path.write_text(doc + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write parses to {out_dir!r}: {exc}") from exc
+    return [str(path) for path in paths]
+
+
+def _finish(args, started: float, cutoff: float | None, mode: str, residue: int, parses) -> int:
+    """Emit the parses, then the summary line and the paths written; the exit code."""
+    docs = _render_documents(parses, args.format)
+    if not docs:
+        print("no strict parse")
+    paths = _emit(docs, args.format, args.out)
+    summary = f"mode={mode} residue={residue} parses={len(docs)} wall={time.perf_counter() - started:.3f}s"
+    print(summary if cutoff is None else f"{summary} cutoff={cutoff:g}")
+    for path in paths:
+        print(path)
+    return 0 if mode == "strict" and docs else 2
 
 
 def cmd_parse(args) -> int:
     started = time.perf_counter()
-    if bool(args.supertags) == bool(args.lexicon):
-        raise CliError("give exactly one input: --lexicon with --words, or --supertags")
-    if args.lexicon and args.words is None:
-        raise CliError("--lexicon needs --words")
+    _check_input(args)
     cfg = _build_config(args)
     if args.engine == "oracle" and cfg.max_steps is not None:
         raise CliError("the oracle has no plan-length bound: drop --max-steps and the max_steps key")
-    goal = ParseGoal.strict()
-    used_cutoff: float | None = None
-
-    if args.supertags:
-        source = _read_text(args.supertags, "supertag file")
-        cutoffs = _parse_cutoffs(args.cutoffs)
-        ts = None
-        strict_result: set[DerivationTree] = set()
-        if args.goal in ("strict", "auto"):
-            for cutoff in cutoffs:
-                ts = ingest_supertags(source, cutoff)
-                strict_result = _strict_parses(ts, cfg, args.engine, goal)
-                used_cutoff = cutoff
-                if strict_result:
-                    break
-        if ts is None:
-            ts = ingest_supertags(source, cutoffs[-1])
-            used_cutoff = cutoffs[-1]
+    cutoffs, read = _sentences(args)
+    if args.goal == "best-effort":
+        ts = read(cutoffs[-1])
     else:
-        ts = _tagged_from_lexicon(args)
-        strict_result = _strict_parses(ts, cfg, args.engine, goal) if args.goal in ("strict", "auto") else set()
-
-    if strict_result:
-        docs = _render_documents(strict_result, args.format)
-        paths = _emit(docs, args.format, args.out)
-        report = RunReport("strict", 1, len(docs), paths, time.perf_counter() - started, used_cutoff)
-        print(report.summary())
-        for p in report.paths:
-            print(p)
-        return 0
-
-    if args.goal == "strict":
-        report = RunReport("strict", len(ts.tokens), 0, (), time.perf_counter() - started, used_cutoff)
-        print("no strict parse")
-        print(report.summary())
-        return 2
-
-    residue, forests = _best_effort(ts, cfg, args.engine)
-    docs = _render_documents(forests, args.format)
-    paths = _emit(docs, args.format, args.out)
-    report = RunReport("best-effort", residue, len(docs), paths, time.perf_counter() - started, used_cutoff)
-    print(report.summary())
-    for p in report.paths:
-        print(p)
-    return 2
+        # widen the candidate sets rung by rung until a strict parse appears
+        for cutoff in cutoffs:
+            ts = read(cutoff)
+            trees = _search(ts, cfg, args.engine, ParseGoal.strict())
+            if trees:
+                return _finish(args, started, cutoff, "strict", 1, trees)
+        if args.goal == "strict":
+            return _finish(args, started, cutoff, "strict", len(ts.tokens), ())
+    residue, forests = _search(ts, cfg, args.engine, ParseGoal.best_effort())
+    return _finish(args, started, cutoffs[-1], "best-effort", residue, forests)
 
 
 def cmd_check(args) -> int:
@@ -233,24 +203,19 @@ def cmd_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if bool(args.supertags) == bool(args.lexicon):
-        raise CliError("give exactly one input: --lexicon with --words, or --supertags")
-    if args.supertags:
-        cutoffs = _parse_cutoffs(args.cutoffs)
-        ts = ingest_supertags(_read_text(args.supertags, "supertag file"), cutoffs[0])
-    else:
-        ts = _tagged_from_lexicon(args)
+    _check_input(args)
+    cutoffs, read = _sentences(args)
+    ts = read(cutoffs[0])
     cfg = _build_config(args)
     if cfg.max_steps is None:
         # wide enough for any tree the oracle can build
         cfg = dataclasses.replace(cfg, max_steps=2 * len(ts.tokens) + 1)
-    if args.goal == "strict":
-        goal = ParseGoal.strict()
-        plan_side = parse_all(ts, cfg, goal)
-        chart_side = chart_parse_all(ts, cfg, goal)
-    else:
-        plan_residue, plan_side = parse_all(ts, cfg, ParseGoal.best_effort())
-        chart_residue, chart_side = chart_parse_all(ts, cfg, ParseGoal.best_effort())
+    goal = ParseGoal.strict() if args.goal == "strict" else ParseGoal.best_effort()
+    # the oracle first: its length guard fails at once, the plan search may take minutes
+    chart_side = _search(ts, cfg, "oracle", goal)
+    plan_side = _search(ts, cfg, "plan", goal)
+    if args.goal == "best-effort":
+        (chart_residue, chart_side), (plan_residue, plan_side) = chart_side, plan_side
         if plan_residue != chart_residue:
             print(f"residue differs: plan={plan_residue} oracle={chart_residue}")
             return 1
@@ -267,19 +232,18 @@ def cmd_compare(args) -> int:
     return 1
 
 
-def _add_input_flags(sub: argparse.ArgumentParser, with_cutoffs: bool = True) -> None:
+def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lexicon", help="lexicon file (word<TAB>category per line)")
     sub.add_argument("--words", help="pre-tokenized sentence, space separated")
     sub.add_argument("--supertags", help="supertagger output file (one sentence)")
     sub.add_argument("--rules", help="rule configuration file")
     sub.add_argument("--max-steps", type=int, dest="max_steps", help="plan length bound (default: length + 2)")
     sub.add_argument("--normalize", choices=["on", "off"], help="normal-form filtering (default on)")
-    if with_cutoffs:
-        sub.add_argument(
-            "--cutoffs",
-            default=",".join(str(c) for c in DEFAULT_CUTOFFS),
-            help="supertag cutoff ladder, tried in order until a strict parse appears",
-        )
+    sub.add_argument(
+        "--cutoffs",
+        default=",".join(str(c) for c in DEFAULT_CUTOFFS),
+        help="supertag cutoff ladder, tried in order until a strict parse appears",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -316,23 +316,18 @@ def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
     Leaves carry the sentence's words.
     """
     words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
-    if goal.mode == "strict":
-        found: set[DerivationTree] = set()
-        for asr in initial_asrs(ts):
-            for tree in enumerate_parses(asr, cfg, goal):
-                found.add(attach_words(tree, words))
-        return found
+    strict = goal.mode == "strict"
     best: int | None = None
-    forests: set[tuple[DerivationTree, ...]] = set()
+    found: set = set()
     for asr in initial_asrs(ts):
-        m, fs = best_effort(asr, cfg)
-        if best is None or m < best:
-            best = m
-            forests = set()
-        if m == best:
-            forests.update(tuple(attach_words(t, words) for t in f) for f in fs)
-    assert best is not None
-    return best, forests
+        # a strict search's trees count as residue-1 results of its combination
+        residue, results = (1, enumerate_parses(asr, cfg, goal)) if strict else best_effort(asr, cfg)
+        if best is None or residue < best:
+            best, found = residue, set()
+        if residue == best:
+            for entry in results:
+                found.add(attach_words(entry, words) if strict else tuple(attach_words(t, words) for t in entry))
+    return found if strict else (best, found)
 
 
 def canonical_plan(parse: DerivationTree | Sequence[DerivationTree]) -> Plan:

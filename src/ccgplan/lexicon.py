@@ -24,6 +24,12 @@ class SupertagError(ValueError):
     """Raised for malformed supertagger output."""
 
 
+# Most tokens a sentence may have: the plan search recurses once per
+# reduction, so a sentence far longer than any real one would end in a
+# RecursionError instead of an answer.
+MAX_TOKENS = 256
+
+
 @dataclass(frozen=True)
 class Candidate:
     cat: Category
@@ -51,6 +57,8 @@ class TaggedSentence:
     def __post_init__(self):
         if not self.tokens:
             raise ValueError("a tagged sentence needs at least one token")
+        if len(self.tokens) > MAX_TOKENS:
+            raise ValueError(f"sentence has {len(self.tokens)} tokens; at most {MAX_TOKENS} are supported")
 
     @property
     def words(self) -> tuple[str, ...]:

@@ -18,7 +18,7 @@ Ternary schema:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .categories import Atom, Category, CategoryError, Functor, bwd, fwd, parse_category, print_category
@@ -294,13 +294,7 @@ def load_rule_config(text: str, base: RuleConfig | None = None) -> RuleConfig:
                 raise RuleConfigError(f"unknown key {key!r}")
         except (RuleConfigError, CategoryError, ValueError) as exc:
             raise RuleConfigError(f"line {lineno}: {exc}") from exc
-    merged = {
-        "enabled": fields.get("enabled", base.enabled),
-        "raise_targets": fields.get("raise_targets", base.raise_targets),
-        "normalize": fields.get("normalize", base.normalize),
-        "max_steps": fields.get("max_steps", base.max_steps),
-    }
     try:
-        return RuleConfig(**merged)
+        return replace(base, **fields)
     except ValueError as exc:
         raise RuleConfigError(str(exc)) from exc

@@ -4,6 +4,7 @@ import pytest
 
 from ccgplan import ParseGoal, RuleConfig, load_lexicon, parse_all, tag_with_lexicon, to_json
 from ccgplan.cli import main
+from ccgplan.lexicon import MAX_TOKENS
 
 LADDER_SUPERTAGS = (
     "The|DT|NP/N:0.99 dog|NN|N:0.98 bit|VBD|N:0.9|(S\\NP)/NP:0.02 John|NNP|NP:0.99\n"
@@ -210,3 +211,44 @@ def test_parse_oracle_rejects_a_plan_length_bound(lexicon_file, tmp_path, capsys
     rules.write_text("max_steps = 3\n", encoding="utf-8")
     assert main(["parse", *words, "--rules", str(rules)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_parse_out_naming_a_file_is_one_error_line(lexicon_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["parse", "--lexicon", lexicon_file, "--words", "The dog bit John", "--out", str(taken)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write")
+
+
+def test_compare_checks_the_oracle_guard_before_any_search(lexicon_file, monkeypatch, capsys):
+    def plan_engine(*args):
+        raise AssertionError("the plan engine ran before the oracle's guard")
+
+    monkeypatch.setattr("ccgplan.cli.parse_all", plan_engine)
+    words = " ".join(["John"] * 11)
+    assert main(["compare", "--lexicon", lexicon_file, "--words", words]) == 1
+    assert "exceeds the oracle guard of 10" in capsys.readouterr().err
+
+
+def _chain(tmp_path, root: str, length: int) -> list[str]:
+    """Input flags for a chain root/A1 A1/A2 ... A(n-1) that reduces, right
+    to left, only to ``root``."""
+    cats = [f"{root}/A1"] + [f"A{i - 1}/A{i}" for i in range(2, length)] + [f"A{length - 1}"]
+    lex = tmp_path / f"chain_{root}_{length}.txt"
+    lex.write_text("".join(f"w{i}\t{cat}\n" for i, cat in enumerate(cats, start=1)), encoding="utf-8")
+    rules = tmp_path / "rules.cfg"
+    rules.write_text("rules = >, <\n", encoding="utf-8")
+    words = " ".join(f"w{i}" for i in range(1, length + 1))
+    return ["--lexicon", str(lex), "--words", words, "--rules", str(rules)]
+
+
+@pytest.mark.parametrize("fmt", ["ascii", "json", "dot"])
+def test_parse_takes_sentences_up_to_the_token_bound(tmp_path, capsys, fmt):
+    assert main(["parse", *_chain(tmp_path, "S", MAX_TOKENS), "--goal", "strict", "--format", fmt]) == 0
+    assert "mode=strict residue=1 parses=1 " in capsys.readouterr().out
+    assert main(["parse", *_chain(tmp_path, "A0", MAX_TOKENS), "--goal", "best-effort", "--format", fmt]) == 2
+    assert "mode=best-effort residue=1 parses=1 " in capsys.readouterr().out
+    assert main(["parse", *_chain(tmp_path, "S", MAX_TOKENS + 1), "--format", fmt]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"at most {MAX_TOKENS}" in err[0]

@@ -2,7 +2,9 @@
 
 Example size is bounded explicitly: at most ``MAX_TOKENS`` tokens, each
 with one to ``MAX_CANDIDATES`` distinct candidate categories from a fixed
-pool, under any non-empty set of the nine combinators.
+pool, under any non-empty set of the nine combinators. Random sentences
+rarely have a strict parse, so the laws relating strict parses to other
+results also draw sentences from parseable shapes.
 """
 
 from dataclasses import replace
@@ -21,9 +23,11 @@ from ccgplan import (
     Token,
     canonical_plan,
     check_tree,
+    ingest_supertags,
     leaves,
     parse_all,
     parse_category,
+    print_category,
     replay_plan,
 )
 from ccgplan.rules import DEFAULT_RAISE_TARGETS
@@ -100,3 +104,83 @@ def test_canonical_plan_of_every_strict_tree_replays_to_the_goal(case):
         initial = Asr.initial([leaf.cat for leaf in leaves(tree)])
         final = replay_plan(initial, canonical_plan(tree))[-1]
         assert final.items == (AnnotatedCategory(1, STRICT.target),)
+
+
+# Category sequences with a strict parse under application alone, except
+# the coordination, which needs &.
+SHAPES = [
+    ["NP", r"S\NP"],
+    ["S/NP", "NP"],
+    ["S", r"S\S"],
+    ["NP", r"(S\NP)/NP", "NP"],
+    ["NP/N", "N", r"S\NP"],
+    ["S", "conj", "S"],
+    ["NP", r"(S\NP)/NP", "NP/N", "N"],
+    ["NP/N", "N", r"(S\NP)/NP", "NP"],
+    ["NP", r"(S\NP)/NP", "NP", r"(NP\NP)/NP", "NP"],
+]
+APPLICATION = frozenset({CombinatorKind.FWD_APPL, CombinatorKind.BWD_APPL})
+
+
+@st.composite
+def shaped_candidates(draw):
+    """Candidate lists for a parseable shape: per token its category and,
+    two times in three, a second one, from the pool or from a shape of the
+    same length, so that a second combination may parse too."""
+    shape = draw(st.sampled_from(SHAPES))
+    twin = draw(st.sampled_from([other for other in SHAPES if len(other) == len(shape)]))
+    candidates = []
+    for text, twin_text in zip(shape, twin):
+        gold = parse_category(text)
+        other = draw(st.none() | st.just(parse_category(twin_text)) | st.sampled_from(POOL))
+        candidates.append([gold] if other in (None, gold) else [gold, other])
+    return candidates
+
+
+@st.composite
+def shaped_cases(draw):
+    """A parseable shape under a rule set that includes application."""
+    ts = TaggedSentence(
+        tuple(Token(f"w{i}", tuple(Candidate(c) for c in cs)) for i, cs in enumerate(draw(shaped_candidates())))
+    )
+    cfg = RuleConfig(
+        enabled=draw(rule_sets) | APPLICATION,
+        raise_targets=(draw(raise_targets),),
+        normalize=draw(st.booleans()),
+        max_steps=draw(st.none() | st.integers(1, 2 * len(ts.tokens) + 1)),
+    )
+    return ts, cfg
+
+
+@EXAMPLES
+@given(cases() | shaped_cases())
+def test_strict_parses_are_the_residue_one_trees_rooted_at_the_target(case):
+    """So a sentence with a strict parse has best-effort residue 1."""
+    ts, cfg = case
+    trees = parse_all(ts, cfg, STRICT)
+    residue, forests = parse_all(ts, cfg, ParseGoal.best_effort())
+    rooted = {forest[0] for forest in forests if residue == 1 and forest[0].cat == STRICT.target}
+    assert trees == rooted
+
+
+weights = st.floats(0.001, 1.0)
+cutoff_pairs = st.lists(weights, min_size=2, max_size=2, unique=True)
+
+
+@st.composite
+def supertag_lines(draw):
+    """One supertagged sentence, shaped or random, each candidate weighted."""
+    candidates = draw(shaped_candidates() | st.lists(candidate_lists, min_size=1, max_size=MAX_TOKENS))
+    return " ".join(
+        "|".join([f"w{i}", "X", *(f"{print_category(c)}:{draw(weights)}" for c in cs)])
+        for i, cs in enumerate(candidates)
+    )
+
+
+@EXAMPLES
+@given(supertag_lines(), rule_sets, st.booleans(), cutoff_pairs)
+def test_a_wider_supertag_cutoff_keeps_every_strict_parse(line, rules, normalize, cutoffs):
+    cfg = RuleConfig(enabled=rules | APPLICATION, raise_targets=DEFAULT_RAISE_TARGETS[:1], normalize=normalize)
+    wide, narrow = sorted(cutoffs)
+    kept = parse_all(ingest_supertags(line, narrow), cfg, STRICT)
+    assert kept <= parse_all(ingest_supertags(line, wide), cfg, STRICT)
