@@ -39,8 +39,9 @@ class Asr:
     last_action: Mapping[int, CombinatorKind] = field(default_factory=dict)
 
     @classmethod
-    def initial(cls, cats: Iterable[Category], start_pos: int = 1) -> "Asr":
-        items = tuple(AnnotatedCategory(start_pos + i, c) for i, c in enumerate(cats))
+    def initial(cls, cats: Iterable[Category]) -> "Asr":
+        """The time-0 state of the given categories at positions 1..n."""
+        items = tuple(AnnotatedCategory(i + 1, c) for i, c in enumerate(cats))
         return cls(items=items)
 
     def index_of(self, pos: int) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -27,6 +28,7 @@ from .rules import RuleConfig, RuleConfigError, load_rule_config
 DEFAULT_CUTOFFS = (0.075, 0.03, 0.01)
 
 _EXT = {"ascii": "txt", "json": "json", "dot": "dot"}
+_DOCUMENT_NAME = re.compile(r"parse_\d{4,}\.(txt|json|dot)")
 
 
 class CliError(Exception):
@@ -127,10 +129,16 @@ def _emit(docs: list[str], fmt: str, out_dir: str | None) -> list[str]:
             print(doc)
             print()
         return []
-    paths = [Path(out_dir) / f"parse_{k:04d}.{_EXT[fmt]}" for k in range(1, len(docs) + 1)]
+    out = Path(out_dir)
+    paths = [out / f"parse_{k:04d}.{_EXT[fmt]}" for k in range(1, len(docs) + 1)]
     try:
+        # a directory keeps no document of an earlier run, only other files
+        if out.is_dir():
+            for old in out.iterdir():
+                if _DOCUMENT_NAME.fullmatch(old.name):
+                    old.unlink()
         if docs:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            out.mkdir(parents=True, exist_ok=True)
         for path, doc in zip(paths, docs):
             path.write_text(doc + "\n", encoding="utf-8")
     except OSError as exc:

@@ -17,10 +17,14 @@ search state and need no filter. Only a tree root may stand raised: the
 sentence under a strict goal when the raise yields the target, and any
 residue item under best-effort.
 
-Each search interns its nodes, the (category, producing combinator,
-height) of an item, to ints, and a state is the tuple of its items' node
-ids. Reductions reaching the same state are collapsed by memoizing packed
-sub-derivations per state, so commutative action orders are explored
+Strict and best-effort parsing differ only in their goal, so one
+memoized search serves both. It maps a state to the fewest items it
+reduces to and every packed sub-derivation reaching them: with a target
+category, one item of that category; without one, any residue, each
+item as it stands or raised. Each search interns its nodes, the
+(category, producing combinator, height) of an item, to ints, and a
+state is the tuple of its items' node ids. Reductions reaching the same
+state share its memo entry, so commutative action orders are explored
 once. What an adjacent pair of nodes (or triple, under coordination) can
 reduce to depends on those nodes alone, so it is computed once per search
 and reused in every state where they are adjacent; the rule instances of
@@ -47,7 +51,7 @@ from .rules import (
     ternary_instances,
     unary_instances,
 )
-from .trees import Binary, DerivationTree, Leaf, Ternary, Unary, attach_words, children, tree_height
+from .trees import DerivationTree, Leaf, as_forest, attach_words, build_node, children, tree_height
 
 
 @dataclass(frozen=True)
@@ -105,12 +109,16 @@ def banned(a: Action, s: Asr, cfg: RuleConfig) -> bool:
 
 
 # A search's packed sub-derivations ("recipes") are trees of ints over the
-# item indices of some state: a leaf is the item's index, a node is (label
-# id, children), where a label is an interned (combinator, category).
-# Rebasing maps a recipe across one reduction so memoized futures compose
-# with any path into the state; ``_materialize`` translates labels back. A
-# reduction's recipe carries the raises it applied to its inputs, so every
-# raise node in a recipe sits under a binary or ternary node or is a root.
+# item indices of some state: a leaf is the item's index, a node is (node
+# id, children), and a best-effort forest is a node with the reserved id
+# ``_FOREST`` whose children are the residue items. A node id gives the
+# node's combinator and category; its height, also in the id, follows from
+# its children. Rebasing maps a recipe across one reduction so memoized
+# futures compose with any path into the state; ``_materialize`` translates
+# node ids back. A reduction's recipe carries the raises it applied to its
+# inputs, so every raise node in a recipe sits under a binary or ternary
+# node or is a root.
+_FOREST = -1
 
 
 def _intern(ids: dict, values: list, value) -> int:
@@ -124,9 +132,8 @@ def _intern(ids: dict, values: list, value) -> int:
 class _Tables:
     """One search's interned values and the rule work done so far.
 
-    Categories, nodes (category id, producing combinator, height) and
-    labels (combinator, category id) are each a dict from value to id plus
-    the list of values by id.
+    Categories and nodes (category id, producing combinator, height) are
+    each a dict from value to id plus the list of values by id.
     """
 
     def __init__(self, cfg: RuleConfig, limit: int):
@@ -137,11 +144,9 @@ class _Tables:
         self.cats: list[Category] = []
         self.node_ids: dict[tuple, int] = {}
         self.nodes: list[tuple[int, CombinatorKind | None, int]] = []
-        self.label_ids: dict[tuple, int] = {}
-        self.labels: list[tuple[CombinatorKind, int]] = []
         self.rules: dict[tuple[int, ...], list[tuple[CombinatorKind, int]]] = {}
-        self.ways_of: dict[int, list[tuple[int, int | None]]] = {}
-        self.reduced: dict[tuple[int, ...], list[tuple[int, int, tuple[int | None, ...]]]] = {}
+        self.ways_of: dict[int, list[int | None]] = {}
+        self.reduced: dict[tuple[int, ...], list[tuple[int, tuple[int | None, ...]]]] = {}
 
     def cat(self, c: Category) -> int:
         return _intern(self.cat_ids, self.cats, c)
@@ -149,20 +154,16 @@ class _Tables:
     def node(self, cat: int, kind: CombinatorKind | None, height: int) -> int:
         return _intern(self.node_ids, self.nodes, (cat, kind, height))
 
-    def label(self, kind: CombinatorKind, cat: int) -> int:
-        return _intern(self.label_ids, self.labels, (kind, cat))
-
-    def ways(self, nid: int) -> list[tuple[int, int | None]]:
-        """The ways a node can enter a rule or stand as a root, as (node,
-        raise label): as it stands (label None), or raised within the
-        height bound. No state node is a raise, so nothing is raised twice."""
+    def ways(self, nid: int) -> list[int | None]:
+        """The ways a node can enter a rule or stand as a root: as it
+        stands (None), or as a raised node within the height bound. No
+        state node is a raise, so nothing is raised twice."""
         ways = self.ways_of.get(nid)
         if ways is None:
             cat, _, height = self.nodes[nid]
-            ways = [(nid, None)]
+            ways = [None]
             if height < self.limit:
-                raises = self.instances((cat,))
-                ways += [(self.node(out, kind, height + 1), self.label(kind, out)) for kind, out in raises]
+                ways += [self.node(out, kind, height + 1) for kind, out in self.instances((cat,))]
             self.ways_of[nid] = ways
         return ways
 
@@ -181,32 +182,31 @@ class _Tables:
             insts = self.rules[cats] = [(inst.kind, self.cat(inst.output)) for inst in found]
         return insts
 
-    def reductions(self, key: tuple[int, ...]) -> list[tuple[int, int, tuple[int | None, ...]]]:
+    def reductions(self, key: tuple[int, ...]) -> list[tuple[int, tuple[int | None, ...]]]:
         """The reductions of adjacent nodes (a pair, or a triple for
-        coordination) as (merged node, label, raise label per input)."""
+        coordination) as (merged node, raised node or None per input)."""
         found = self.reduced.get(key)
         if found is not None:
             return found
         found = []
-        for ways in product(*(self.ways(nid) for nid in key)):
-            nodes = [self.nodes[nid] for nid, _ in ways]
+        for raises in product(*(self.ways(nid) for nid in key)):
+            nodes = [self.nodes[nid if r is None else r] for nid, r in zip(key, raises)]
             insts = self.instances(tuple([cat for cat, _, _ in nodes]))
             if not insts:
                 continue
             height = 1 + max([h for _, _, h in nodes])
             if height > self.limit:
                 continue
-            raises = tuple([r for _, r in ways])
             for kind, out in insts:
                 if self.cfg.normalize and normal_form_blocked(kind, nodes[0][1], nodes[-1][1]):
                     continue
-                found.append((self.node(out, kind, height), self.label(kind, out), raises))
+                found.append((self.node(out, kind, height), raises))
         self.reduced[key] = found
         return found
 
 
-def _input(j: int, raise_label: int | None):
-    return j if raise_label is None else (raise_label, (j,))
+def _input(j: int, raised: int | None):
+    return j if raised is None else (raised, (j,))
 
 
 def _successors(state: tuple[int, ...], tables: _Tables):
@@ -214,8 +214,8 @@ def _successors(state: tuple[int, ...], tables: _Tables):
     recipe over ``state``)."""
     for arity in tables.arities:
         for i in range(len(state) - arity + 1):
-            for merged, label, raises in tables.reductions(state[i : i + arity]):
-                built = (label, tuple([_input(j, r) for j, r in enumerate(raises, i)]))
+            for merged, raises in tables.reductions(state[i : i + arity]):
+                built = (merged, tuple([_input(j, r) for j, r in enumerate(raises, i)]))
                 yield i, arity, state[:i] + (merged,) + state[i + arity :], built
 
 
@@ -226,69 +226,60 @@ def _rebase(recipe, i: int, arity: int, built):
         if recipe == i:
             return built
         return recipe + arity - 1
-    label, kids = recipe
-    return (label, tuple([_rebase(k, i, arity, built) for k in kids]))
+    nid, kids = recipe
+    return (nid, tuple([_rebase(k, i, arity, built) for k in kids]))
 
 
-def _strict_recipes(state, tables, target, memo):
-    cached = memo.get(state)
-    if cached is not None:
-        return cached
+def _recipes(state, tables, target, memo):
+    """The fewest items ``state`` reduces to and every recipe reaching
+    them: with a ``target`` category id, one item of that category (no
+    recipes if unreachable), without one, best-effort forests. Callers
+    look ``state`` up in ``memo`` first."""
+    best = len(state) if target is None else 1
     found = set()
-    if len(state) == 1:
-        found.update(_input(0, r) for nid, r in tables.ways(state[0]) if tables.nodes[nid][0] == target)
+    if target is not None and len(state) == 1:
+        root = state[0]
+        for r in tables.ways(root):
+            if tables.nodes[root if r is None else r][0] == target:
+                found.add(_input(0, r))
     for i, arity, successor, built in _successors(state, tables):
-        for sub in _strict_recipes(successor, tables, target, memo):
-            found.add(_rebase(sub, i, arity, built))
-    result = frozenset(found)
-    memo[state] = result
-    return result
-
-
-def _residue_recipes(state, tables, memo):
-    cached = memo.get(state)
-    if cached is not None:
-        return cached
-    best = len(state)
-    forests = set()
-    for i, arity, successor, built in _successors(state, tables):
-        sub_best, sub_forests = _residue_recipes(successor, tables, memo)
+        sub_best, subs = memo.get(successor) or _recipes(successor, tables, target, memo)
+        if not subs:
+            continue
         if sub_best < best:
-            best = sub_best
-            forests = set()
+            best, found = sub_best, set()
         if sub_best == best:
-            forests.update(tuple(_rebase(t, i, arity, built) for t in f) for f in sub_forests)
-    if best == len(state):
+            found.update([_rebase(sub, i, arity, built) for sub in subs])
+    if not found and target is None:
         # every reduction shortens the state, so none applies: the items
         # are the residue, each as it stands or raised
-        forests = set(product(*([_input(j, r) for _, r in tables.ways(nid)] for j, nid in enumerate(state))))
-    result = (best, frozenset(forests))
-    memo[state] = result
+        residue = product(*([_input(j, r) for r in tables.ways(nid)] for j, nid in enumerate(state)))
+        found = {(_FOREST, items) for items in residue}
+    memo[state] = result = (best, found)
     return result
 
 
-def _materialize(recipe, items: tuple[AnnotatedCategory, ...], tables: _Tables) -> DerivationTree:
+def _materialize(recipe, items: tuple[AnnotatedCategory, ...], tables: _Tables):
     if recipe.__class__ is int:
         item = items[recipe]
         return Leaf(None, item.cat, item.pos)
-    label, kids = recipe
-    kind, cat_id = tables.labels[label]
-    cat = tables.cats[cat_id]
+    nid, kids = recipe
     built = [_materialize(k, items, tables) for k in kids]
-    if len(built) == 1:
-        return Unary(kind, cat, built[0])
-    if len(built) == 2:
-        return Binary(kind, cat, built[0], built[1])
-    return Ternary(kind, cat, built[0], built[1], built[2])
+    if nid == _FOREST:
+        return tuple(built)
+    cat, kind, _ = tables.nodes[nid]
+    return build_node(kind, tables.cats[cat], built)
 
 
-def _start(initial: Asr, cfg: RuleConfig) -> tuple[_Tables, tuple[int, ...]]:
-    """A search's tables and its initial state of node ids."""
+def _parse(initial: Asr, cfg: RuleConfig, target: Category | None):
+    """One search from a time-0 state: the fewest items reached, and the
+    trees rooted at ``target`` or, without one, the best-effort forests."""
     if initial.time != 0:
         raise ValueError("enumeration starts from a time-0 state")
     tables = _Tables(cfg, effective_max_steps(cfg, len(initial.items)))
     state = tuple(tables.node(tables.cat(it.cat), initial.last_action.get(it.pos), 0) for it in initial.items)
-    return tables, state
+    best, recipes = _recipes(state, tables, None if target is None else tables.cat(target), {})
+    return best, {_materialize(r, initial.items, tables) for r in recipes}
 
 
 def enumerate_parses(initial: Asr, cfg: RuleConfig, goal: ParseGoal) -> set[DerivationTree]:
@@ -296,16 +287,12 @@ def enumerate_parses(initial: Asr, cfg: RuleConfig, goal: ParseGoal) -> set[Deri
     within ``max_steps``. Empty when the goal is unreachable."""
     if goal.mode != "strict":
         raise ValueError("enumerate_parses handles strict goals; use best_effort")
-    tables, state = _start(initial, cfg)
-    recipes = _strict_recipes(state, tables, tables.cat(goal.target), {})
-    return {_materialize(r, initial.items, tables) for r in recipes}
+    return _parse(initial, cfg, goal.target)[1]
 
 
 def best_effort(initial: Asr, cfg: RuleConfig) -> tuple[int, set[tuple[DerivationTree, ...]]]:
     """Minimal reachable residue length and every forest achieving it."""
-    tables, state = _start(initial, cfg)
-    best, forests = _residue_recipes(state, tables, {})
-    return best, {tuple(_materialize(t, initial.items, tables) for t in f) for f in forests}
+    return _parse(initial, cfg, None)
 
 
 def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
@@ -337,7 +324,6 @@ def canonical_plan(parse: DerivationTree | Sequence[DerivationTree]) -> Plan:
     h - 1 - depth(v); each action consumes the positions at the leftmost
     leaves of its children and outputs the node's category.
     """
-    trees = (parse,) if isinstance(parse, (Leaf, Unary, Binary, Ternary)) else tuple(parse)
     by_time: dict[int, set[Action]] = {}
 
     def walk(node: DerivationTree, depth: int, height: int) -> int:
@@ -348,7 +334,7 @@ def canonical_plan(parse: DerivationTree | Sequence[DerivationTree]) -> Plan:
         by_time.setdefault(time, set()).add(Action(node.kind, positions, node.cat, time))
         return positions[0]
 
-    for tree in trees:
+    for tree in as_forest(parse):
         walk(tree, 0, tree_height(tree))
     if not by_time:
         return Plan(())

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .asr import AnnotatedCategory, Asr
+from .asr import Asr
 from .categories import Category, CategoryError, parse_category
 
 
@@ -175,5 +175,4 @@ def initial_asrs(ts: TaggedSentence) -> Iterator[Asr]:
     lists, position ids 1..n, ordered lexicographically by candidate index.
     """
     for combo in itertools.product(*(t.candidates for t in ts.tokens)):
-        items = tuple(AnnotatedCategory(i + 1, c.cat) for i, c in enumerate(combo))
-        yield Asr(items=items)
+        yield Asr.initial(c.cat for c in combo)

@@ -7,15 +7,9 @@ from typing import Sequence
 
 from .categories import parse_category, print_category
 from .rules import CombinatorKind
-from .trees import Binary, DerivationTree, Leaf, Ternary, Unary, children
+from .trees import DerivationTree, Leaf, as_forest, build_node, children
 
 _GAP = 2
-
-
-def _as_forest(parse: DerivationTree | Sequence[DerivationTree]) -> tuple[DerivationTree, ...]:
-    if isinstance(parse, (Leaf, Unary, Binary, Ternary)):
-        return (parse,)
-    return tuple(parse)
 
 
 def to_ascii(parse: DerivationTree | Sequence[DerivationTree]) -> str:
@@ -23,7 +17,7 @@ def to_ascii(parse: DerivationTree | Sequence[DerivationTree]) -> str:
     underline+category row pair per combination level. Each underline spans
     exactly the columns of its constituent's leaves, with the rule symbol
     at its right end. A forest renders side by side on the shared grid."""
-    trees = _as_forest(parse)
+    trees = as_forest(parse)
     leaf_rows: list[Leaf] = []
     internals: list[tuple[int, int, int, DerivationTree]] = []
 
@@ -125,11 +119,7 @@ def _tree_from_obj(obj) -> DerivationTree:
         raise ValueError(f"unknown node kind {kind_name!r}") from exc
     if len(kids) != kind.arity:
         raise ValueError(f"{kind.value} node needs {kind.arity} children, found {len(kids)}")
-    if kind.arity == 1:
-        return Unary(kind, category, kids[0])
-    if kind.arity == 2:
-        return Binary(kind, category, kids[0], kids[1])
-    return Ternary(kind, category, kids[0], kids[1], kids[2])
+    return build_node(kind, category, kids)
 
 
 def tree_from_json(text: str) -> DerivationTree:
@@ -140,10 +130,10 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(parse: DerivationTree | Sequence[DerivationTree], name: str = "derivation") -> str:
+def to_dot(parse: DerivationTree | Sequence[DerivationTree]) -> str:
     """One digraph; node ids follow preorder so output diffs are stable."""
-    trees = _as_forest(parse)
-    lines = [f"digraph {name} {{", "  node [shape=plaintext];"]
+    trees = as_forest(parse)
+    lines = ["digraph derivation {", "  node [shape=plaintext];"]
     counter = 0
 
     def visit(node: DerivationTree) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .categories import Category
 from .rules import CombinatorKind, valid_instance
@@ -41,6 +41,22 @@ class Ternary:
 
 
 DerivationTree = Union[Leaf, Unary, Binary, Ternary]
+
+
+def build_node(kind: CombinatorKind, cat: Category, kids: Sequence[DerivationTree]) -> DerivationTree:
+    """The internal node of one, two or three children."""
+    if len(kids) == 1:
+        return Unary(kind, cat, kids[0])
+    if len(kids) == 2:
+        return Binary(kind, cat, kids[0], kids[1])
+    return Ternary(kind, cat, kids[0], kids[1], kids[2])
+
+
+def as_forest(parse: DerivationTree | Sequence[DerivationTree]) -> tuple[DerivationTree, ...]:
+    """A tree as a one-tree forest; a forest as it stands."""
+    if isinstance(parse, (Leaf, Unary, Binary, Ternary)):
+        return (parse,)
+    return tuple(parse)
 
 
 def children(t: DerivationTree) -> tuple[DerivationTree, ...]:

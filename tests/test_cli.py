@@ -100,6 +100,28 @@ def test_parse_writes_documents(lexicon_file, tmp_path, capsys):
     assert str(files[0]) in capsys.readouterr().out
 
 
+def test_parse_out_removes_the_documents_of_an_earlier_run(lexicon_file, tmp_path, capsys):
+    out_dir = tmp_path / "parses"
+    out_dir.mkdir()
+    (out_dir / "notes.txt").write_text("kept\n", encoding="utf-8")
+    (out_dir / "parse_12.txt").write_text("kept\n", encoding="utf-8")
+    parse = ["parse", "--lexicon", lexicon_file, "--out", str(out_dir)]
+    assert main(parse + ["--words", "The dog bit John", "--normalize", "off", "--max-steps", "5"]) == 0
+    assert len(list(out_dir.glob("parse_????.txt"))) == 13
+    assert main(parse + ["--words", "The dog bit John", "--format", "json"]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt", "parse_0001.json", "parse_12.txt"]
+    assert main(parse + ["--words", "The dog bit", "--goal", "strict"]) == 2
+    assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt", "parse_12.txt"]
+    assert "parses=0" in capsys.readouterr().out.splitlines()[-1]
+
+
+def test_parse_out_creates_no_directory_without_documents(lexicon_file, tmp_path):
+    out_dir = tmp_path / "parses"
+    argv = ["parse", "--lexicon", lexicon_file, "--words", "The dog bit", "--goal", "strict", "--out", str(out_dir)]
+    assert main(argv) == 2
+    assert not out_dir.exists()
+
+
 def test_parse_with_oracle_engine(lexicon_file, capsys):
     code = main(["parse", "--lexicon", lexicon_file, "--words", "The dog bit John", "--engine", "oracle"])
     assert code == 0

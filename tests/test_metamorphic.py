@@ -4,11 +4,14 @@ Example size is bounded explicitly: at most ``MAX_TOKENS`` tokens, each
 with one to ``MAX_CANDIDATES`` distinct candidate categories from a fixed
 pool, under any non-empty set of the nine combinators. Random sentences
 rarely have a strict parse, so the laws relating strict parses to other
-results also draw sentences from parseable shapes.
+results also draw sentences from parseable shapes. A last law counts the
+strict parses of composition chains in closed form.
 """
 
 from dataclasses import replace
+from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +26,7 @@ from ccgplan import (
     Token,
     canonical_plan,
     check_tree,
+    enumerate_parses,
     ingest_supertags,
     leaves,
     parse_all,
@@ -184,3 +188,42 @@ def test_a_wider_supertag_cutoff_keeps_every_strict_parse(line, rules, normalize
     wide, narrow = sorted(cutoffs)
     kept = parse_all(ingest_supertags(line, narrow), cfg, STRICT)
     assert kept <= parse_all(ingest_supertags(line, wide), cfg, STRICT)
+
+
+@lru_cache(maxsize=None)
+def bracketings(n: int, height: int) -> int:
+    """Binary bracketings of n leaves of height at most ``height``."""
+    if n == 1:
+        return 1
+    if height == 0:
+        return 0
+    return sum(bracketings(k, height - 1) * bracketings(n - k, height - 1) for k in range(1, n))
+
+
+def chain(n: int, forward: bool) -> Asr:
+    """``A0/A1 ... A(n-2)/A(n-1) A(n-1)``, or its mirror image with
+    backward slashes, which reduces to ``A0`` under any bracketing."""
+    functors = [f"A{i}/A{i + 1}" if forward else f"A{i}\\A{i + 1}" for i in range(n - 1)]
+    cats = functors + [f"A{n - 1}"]
+    return Asr.initial([parse_category(c) for c in (cats if forward else reversed(cats))])
+
+
+CHAIN_RULES = {
+    True: frozenset({CombinatorKind.FWD_APPL, CombinatorKind.FWD_COMP}),
+    False: frozenset({CombinatorKind.BWD_APPL, CombinatorKind.BWD_COMP}),
+}
+
+
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_composition_chains_have_one_parse_per_bracketing_within_the_height_bound(n, forward):
+    """Application and composition in one direction derive ``A0`` from the
+    chain by every bracketing, so with normalization off the strict parses
+    within ``max_steps`` h number B(n, h), the Catalan number once h >= n-1.
+    With normalization on only the application chain remains, of height n-1."""
+    goal = ParseGoal.strict(parse_category("A0"))
+    for height in range(1, n + 2):
+        cfg = RuleConfig(enabled=CHAIN_RULES[forward], max_steps=height)
+        off = enumerate_parses(chain(n, forward), replace(cfg, normalize=False), goal)
+        on = enumerate_parses(chain(n, forward), cfg, goal)
+        assert (len(off), len(on)) == (bracketings(n, height), int(height >= n - 1)), height
