@@ -41,7 +41,7 @@ from .lexicon import (
     load_lexicon,
     tag_with_lexicon,
 )
-from .oracle import ChartItem, ChartLimitError, chart_parse_all, count_parses
+from .oracle import ChartLimitError, chart_parse_all, count_parses
 from .render import to_ascii, to_dot, to_json, tree_from_json
 from .rules import (
     CombinatorKind,
@@ -54,7 +54,7 @@ from .rules import (
     ternary_instances,
     unary_instances,
 )
-from .trees import Binary, DerivationTree, Leaf, Ternary, Unary, attach_words, check_tree, leaves
+from .trees import DerivationTree, Leaf, Node, attach_words, check_tree, leaves
 
 __version__ = "0.1.0"
 
@@ -63,11 +63,9 @@ __all__ = [
     "AnnotatedCategory",
     "Asr",
     "Atom",
-    "Binary",
     "Candidate",
     "Category",
     "CategoryError",
-    "ChartItem",
     "ChartLimitError",
     "CombinatorKind",
     "DerivationTree",
@@ -75,6 +73,7 @@ __all__ = [
     "Leaf",
     "Lexicon",
     "LexiconError",
+    "Node",
     "ParseGoal",
     "Plan",
     "RuleConfig",
@@ -82,9 +81,7 @@ __all__ = [
     "RuleInstance",
     "SupertagError",
     "TaggedSentence",
-    "Ternary",
     "Token",
-    "Unary",
     "applicable_actions",
     "attach_words",
     "banned",

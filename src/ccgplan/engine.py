@@ -51,7 +51,7 @@ from .rules import (
     ternary_instances,
     unary_instances,
 )
-from .trees import DerivationTree, Leaf, as_forest, attach_words, build_node, children, tree_height
+from .trees import DerivationTree, Leaf, Node, as_forest, attach_words, tree_height
 
 
 @dataclass(frozen=True)
@@ -264,11 +264,11 @@ def _materialize(recipe, items: tuple[AnnotatedCategory, ...], tables: _Tables):
         item = items[recipe]
         return Leaf(None, item.cat, item.pos)
     nid, kids = recipe
-    built = [_materialize(k, items, tables) for k in kids]
+    built = tuple([_materialize(k, items, tables) for k in kids])
     if nid == _FOREST:
-        return tuple(built)
+        return built
     cat, kind, _ = tables.nodes[nid]
-    return build_node(kind, tables.cats[cat], built)
+    return Node(kind, tables.cats[cat], built)
 
 
 def _parse(initial: Asr, cfg: RuleConfig, target: Category | None):
@@ -330,7 +330,7 @@ def canonical_plan(parse: DerivationTree | Sequence[DerivationTree]) -> Plan:
         if isinstance(node, Leaf):
             return node.pos
         time = height - 1 - depth
-        positions = tuple(walk(c, depth + 1, height) for c in children(node))
+        positions = tuple(walk(c, depth + 1, height) for c in node.kids)
         by_time.setdefault(time, set()).add(Action(node.kind, positions, node.cat, time))
         return positions[0]
 

@@ -2,102 +2,69 @@
 
 Builds every derivation over every span bottom-up, applying the same rule
 schemas and normal-form restrictions as the plan engine but expressed on
-tree shape: each cell item remembers the combinator that built it, and a
-combination is dropped when the producer/consumer pair is blocked. A
-raised item is never raised again; without that bound the unary closure
-would not terminate. Exhaustive, so guarded by a sentence-length limit.
+tree shape. Cell ``(i, j)`` is the list of distinct trees over tokens
+i..j-1, in the order found; a tree's root ``kind`` is the combinator that
+built it (None for a lexical leaf), and a combination is dropped when the
+producer/consumer pair is blocked. A raised tree is never raised again;
+without that bound the unary closure would not terminate. Exhaustive, so
+guarded by a sentence-length limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .categories import Category
 from .engine import ParseGoal
 from .lexicon import TaggedSentence
 from .rules import (
     RAISE_KINDS,
-    CombinatorKind,
     RuleConfig,
     binary_instances,
     normal_form_blocked,
     ternary_instances,
     unary_instances,
 )
-from .trees import Binary, DerivationTree, Leaf, Ternary, Unary
+from .trees import DerivationTree, Leaf, Node
 
 
 class ChartLimitError(ValueError):
     """Raised when a sentence exceeds the exhaustive-parse guard."""
 
 
-@dataclass(frozen=True)
-class ChartItem:
-    start: int
-    end: int
-    cat: Category
-    built_by: CombinatorKind | None  # None marks a lexical leaf
-    tree: DerivationTree
+def _close_under_raising(trees: list[DerivationTree], cfg: RuleConfig) -> list[DerivationTree]:
+    """The trees plus every raise of an unraised one, each tree once."""
+    closed = list(trees)
+    for t in trees:
+        if t.kind not in RAISE_KINDS:
+            closed.extend(Node(inst.kind, inst.output, (t,)) for inst in unary_instances(t.cat, cfg))
+    return list(dict.fromkeys(closed))
 
 
-def _close_under_raising(items: list[ChartItem], cfg: RuleConfig) -> list[ChartItem]:
-    closed = list(items)
-    for item in items:
-        if item.built_by in RAISE_KINDS:
-            continue
-        for inst in unary_instances(item.cat, cfg):
-            closed.append(
-                ChartItem(item.start, item.end, inst.output, inst.kind, Unary(inst.kind, inst.output, item.tree))
-            )
-    return closed
-
-
-def _build_chart(ts: TaggedSentence, cfg: RuleConfig, guard: int):
+def _build_chart(ts: TaggedSentence, cfg: RuleConfig, guard: int) -> dict[tuple[int, int], list[DerivationTree]]:
     n = len(ts.tokens)
     if n > guard:
         raise ChartLimitError(f"sentence length {n} exceeds the oracle guard of {guard}")
-    cells: dict[tuple[int, int], list[ChartItem]] = {}
+    cells: dict[tuple[int, int], list[DerivationTree]] = {}
     for i, tok in enumerate(ts.tokens):
-        base = [
-            ChartItem(i, i + 1, cand.cat, None, Leaf(tok.word, cand.cat, i + 1))
-            for cand in tok.candidates
-        ]
-        cells[(i, i + 1)] = _dedup(_close_under_raising(base, cfg))
+        base = [Leaf(tok.word, cand.cat, i + 1) for cand in tok.candidates]
+        cells[(i, i + 1)] = _close_under_raising(base, cfg)
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length
-            found: list[ChartItem] = []
+            found: list[DerivationTree] = []
             for k in range(i + 1, j):
                 for l, r in product(cells[(i, k)], cells[(k, j)]):
                     for inst in binary_instances(l.cat, r.cat, cfg):
-                        if cfg.normalize and normal_form_blocked(inst.kind, l.built_by, r.built_by):
+                        if cfg.normalize and normal_form_blocked(inst.kind, l.kind, r.kind):
                             continue
-                        found.append(
-                            ChartItem(i, j, inst.output, inst.kind, Binary(inst.kind, inst.output, l.tree, r.tree))
-                        )
+                        found.append(Node(inst.kind, inst.output, (l, r)))
             for k in range(i + 1, j - 1):
                 for m in range(k + 1, j):
                     for a, b, c in product(cells[(i, k)], cells[(k, m)], cells[(m, j)]):
                         for inst in ternary_instances(a.cat, b.cat, c.cat, cfg):
-                            found.append(
-                                ChartItem(
-                                    i, j, inst.output, inst.kind,
-                                    Ternary(inst.kind, inst.output, a.tree, b.tree, c.tree),
-                                )
-                            )
-            cells[(i, j)] = _dedup(_close_under_raising(found, cfg))
+                            found.append(Node(inst.kind, inst.output, (a, b, c)))
+            cells[(i, j)] = _close_under_raising(found, cfg)
     return cells
-
-
-def _dedup(items: list[ChartItem]) -> list[ChartItem]:
-    seen: set[DerivationTree] = set()
-    out = []
-    for item in items:
-        if item.tree not in seen:
-            seen.add(item.tree)
-            out.append(item)
-    return out
 
 
 def chart_parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal, guard: int = 10):
@@ -110,7 +77,7 @@ def chart_parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal, guard:
     n = len(ts.tokens)
     cells = _build_chart(ts, cfg, guard)
     if goal.mode == "strict":
-        return {item.tree for item in cells[(0, n)] if item.cat == goal.target}
+        return {t for t in cells[(0, n)] if t.cat == goal.target}
 
     best = [0] + [n + 1] * n
     for j in range(1, n + 1):
@@ -129,8 +96,7 @@ def chart_parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal, guard:
 
     forests: set[tuple[DerivationTree, ...]] = set()
     for spans in segmentations(n):
-        for combo in product(*(cells[span] for span in spans)):
-            forests.add(tuple(item.tree for item in combo))
+        forests.update(product(*(cells[span] for span in spans)))
     return best[n], forests
 
 

@@ -7,7 +7,7 @@ from typing import Sequence
 
 from .categories import parse_category, print_category
 from .rules import CombinatorKind
-from .trees import DerivationTree, Leaf, as_forest, build_node, children
+from .trees import DerivationTree, Leaf, Node, as_forest
 
 _GAP = 2
 
@@ -26,7 +26,7 @@ def to_ascii(parse: DerivationTree | Sequence[DerivationTree]) -> str:
             ordinal = len(leaf_rows)
             leaf_rows.append(node)
             return ordinal, ordinal, 0
-        spans = [visit(c) for c in children(node)]
+        spans = [visit(c) for c in node.kids]
         lo, hi = spans[0][0], spans[-1][1]
         level = 1 + max(s[2] for s in spans)
         internals.append((level, lo, hi, node))
@@ -94,7 +94,7 @@ def _tree_to_obj(t: DerivationTree) -> dict:
     return {
         "kind": t.kind.value,
         "category": print_category(t.cat),
-        "children": [_tree_to_obj(c) for c in children(t)],
+        "children": [_tree_to_obj(c) for c in t.kids],
     }
 
 
@@ -108,7 +108,7 @@ def _tree_from_obj(obj) -> DerivationTree:
         raise ValueError("tree node must be an object")
     kind_name = obj.get("kind")
     category = parse_category(obj.get("category", ""))
-    kids = [_tree_from_obj(c) for c in obj.get("children", [])]
+    kids = tuple(_tree_from_obj(c) for c in obj.get("children", []))
     if kind_name == "Leaf":
         if kids:
             raise ValueError("a leaf may not have children")
@@ -119,7 +119,7 @@ def _tree_from_obj(obj) -> DerivationTree:
         raise ValueError(f"unknown node kind {kind_name!r}") from exc
     if len(kids) != kind.arity:
         raise ValueError(f"{kind.value} node needs {kind.arity} children, found {len(kids)}")
-    return build_node(kind, category, kids)
+    return Node(kind, category, kids)
 
 
 def tree_from_json(text: str) -> DerivationTree:
@@ -147,7 +147,7 @@ def to_dot(parse: DerivationTree | Sequence[DerivationTree]) -> str:
         else:
             label = _dot_escape(print_category(node.cat))
         lines.append(f'  {node_id} [label="{label}"];')
-        for child in children(node):
+        for child in node.kids:
             child_id = visit(child)
             lines.append(f"  {node_id} -> {child_id};")
         return node_id

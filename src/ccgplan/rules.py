@@ -80,6 +80,7 @@ DEFAULT_RAISE_TARGETS = (
 )
 
 _NP = Atom("NP")
+_CONJ = Atom("conj")
 
 
 class RuleConfigError(ValueError):
@@ -134,11 +135,15 @@ def unary_instances(c: Category, cfg: RuleConfig) -> list[RuleInstance]:
         if kind not in cfg.enabled:
             continue
         for b in cfg.raise_targets:
-            if kind is CombinatorKind.FWD_RAISE:
-                out.append(RuleInstance(kind, (c,), fwd(b, bwd(b, c))))
-            else:
-                out.append(RuleInstance(kind, (c,), bwd(b, fwd(b, c))))
+            out.append(RuleInstance(kind, (c,), _raise_output(kind, c, b)))
     return out
+
+
+def _raise_output(kind: CombinatorKind, c: Category, target: Category) -> Category:
+    """``c`` raised to ``target``: B/(B\\c) forward, B\\(B/c) backward."""
+    if kind is CombinatorKind.FWD_RAISE:
+        return fwd(target, bwd(target, c))
+    return bwd(target, fwd(target, c))
 
 
 def binary_instances(l: Category, r: Category, cfg: RuleConfig) -> list[RuleInstance]:
@@ -193,9 +198,14 @@ def _binary_output(kind: CombinatorKind, l: Category, r: Category) -> Category |
 
 def ternary_instances(l: Category, m: Category, r: Category, cfg: RuleConfig) -> list[RuleInstance]:
     """Coordination: X conj X => X, when enabled."""
-    if CombinatorKind.COORD in cfg.enabled and m == Atom("conj") and l == r:
-        return [RuleInstance(CombinatorKind.COORD, (l, m, r), l)]
-    return []
+    if CombinatorKind.COORD not in cfg.enabled:
+        return []
+    output = _coord_output(l, m, r)
+    return [] if output is None else [RuleInstance(CombinatorKind.COORD, (l, m, r), output)]
+
+
+def _coord_output(l: Category, m: Category, r: Category) -> Category | None:
+    return l if m == _CONJ and l == r else None
 
 
 def valid_instance(kind: CombinatorKind, inputs: tuple[Category, ...], output: Category) -> bool:
@@ -203,25 +213,10 @@ def valid_instance(kind: CombinatorKind, inputs: tuple[Category, ...], output: C
     if len(inputs) != kind.arity:
         return False
     if kind in RAISE_KINDS:
-        (c,) = inputs
-        if not isinstance(output, Functor) or not isinstance(output.arg, Functor):
-            return False
-        if kind is CombinatorKind.FWD_RAISE:
-            return (
-                output.forward
-                and not output.arg.forward
-                and output.arg.result == output.result
-                and output.arg.arg == c
-            )
-        return (
-            not output.forward
-            and output.arg.forward
-            and output.arg.result == output.result
-            and output.arg.arg == c
-        )
+        # any target: a raise is checked against the target it names
+        return isinstance(output, Functor) and output == _raise_output(kind, inputs[0], output.result)
     if kind is CombinatorKind.COORD:
-        l, m, r = inputs
-        return m == Atom("conj") and l == r and output == l
+        return _coord_output(*inputs) == output
     return _binary_output(kind, *inputs) == output
 
 

@@ -11,13 +11,11 @@ no packing: this is the slow reference the engine is checked against.
 from ccgplan import (
     Action,
     Asr,
-    Binary,
     Leaf,
+    Node,
     ParseGoal,
     Plan,
     RuleConfig,
-    Ternary,
-    Unary,
     applicable_actions,
     effective_max_steps,
     step,
@@ -54,12 +52,7 @@ def _admissible(action: Action, state: Asr) -> bool:
 
 
 def _build_node(action: Action, trees):
-    parts = [trees[p] for p in action.positions]
-    if len(parts) == 1:
-        return Unary(action.kind, action.output, parts[0])
-    if len(parts) == 2:
-        return Binary(action.kind, action.output, parts[0], parts[1])
-    return Ternary(action.kind, action.output, parts[0], parts[1], parts[2])
+    return Node(action.kind, action.output, tuple(trees[p] for p in action.positions))
 
 
 def concurrent_plans(initial: Asr, cfg: RuleConfig, goal: ParseGoal):

@@ -11,17 +11,15 @@ from ccgplan import (
     AnnotatedCategory,
     Asr,
     Atom,
-    Binary,
     Candidate,
     CombinatorKind,
     Functor,
     Leaf,
+    Node,
     ParseGoal,
     RuleConfig,
     TaggedSentence,
     Token,
-    Ternary,
-    Unary,
     banned,
     chart_parse_all,
     count_parses,
@@ -56,19 +54,21 @@ def _demo_sentence(words):
 
 
 def _golden_tree():
-    return Binary(
+    return Node(
         K.BWD_APPL,
         C("S"),
-        Binary(K.FWD_APPL, C("NP"), Leaf("The", C("NP/N"), 1), Leaf("dog", C("N"), 2)),
-        Binary(K.FWD_APPL, C(r"S\NP"), Leaf("bit", C(r"(S\NP)/NP"), 3), Leaf("John", C("NP"), 4)),
+        (
+            Node(K.FWD_APPL, C("NP"), (Leaf("The", C("NP/N"), 1), Leaf("dog", C("N"), 2))),
+            Node(K.FWD_APPL, C(r"S\NP"), (Leaf("bit", C(r"(S\NP)/NP"), 3), Leaf("John", C("NP"), 4))),
+        ),
     )
 
 
 def _spurious_tree():
-    np = Binary(K.FWD_APPL, C("NP"), Leaf("The", C("NP/N"), 1), Leaf("dog", C("N"), 2))
-    raised = Unary(K.FWD_RAISE, C(r"S/(S\NP)"), np)
-    composed = Binary(K.FWD_COMP, C("S/NP"), raised, Leaf("bit", C(r"(S\NP)/NP"), 3))
-    return Binary(K.FWD_APPL, C("S"), composed, Leaf("John", C("NP"), 4))
+    np = Node(K.FWD_APPL, C("NP"), (Leaf("The", C("NP/N"), 1), Leaf("dog", C("N"), 2)))
+    raised = Node(K.FWD_RAISE, C(r"S/(S\NP)"), (np,))
+    composed = Node(K.FWD_COMP, C("S/NP"), (raised, Leaf("bit", C(r"(S\NP)/NP"), 3)))
+    return Node(K.FWD_APPL, C("S"), (composed, Leaf("John", C("NP"), 4)))
 
 
 def test_criterion_1_golden_strict_parse():
@@ -125,12 +125,11 @@ def test_criterion_3_best_effort():
         assert parse_all(ts, RuleConfig(), ParseGoal.strict()) == set()
         residue, forests = parse_all(ts, RuleConfig(), ParseGoal.best_effort())
         assert residue == 1
-        np = Binary(K.FWD_APPL, C("NP"), Leaf("The", C("NP/N"), 1), Leaf("dog", C("N"), 2))
-        expected = Binary(
+        np = Node(K.FWD_APPL, C("NP"), (Leaf("The", C("NP/N"), 1), Leaf("dog", C("N"), 2)))
+        expected = Node(
             K.FWD_COMP,
             C("S/NP"),
-            Unary(K.FWD_RAISE, C(r"S/(S\NP)"), np),
-            Leaf("bit", C(r"(S\NP)/NP"), 3),
+            (Node(K.FWD_RAISE, C(r"S/(S\NP)"), (np,)), Leaf("bit", C(r"(S\NP)/NP"), 3)),
         )
         assert forests == {(expected,)}
         assert print_category(expected.cat) == "S/NP"
@@ -259,16 +258,18 @@ def _random_tree(rng: random.Random, next_pos: list, depth: int = 0):
     cat = _random_category(rng)
     if shape == 1:
         kind = rng.choice([K.FWD_RAISE, K.BWD_RAISE])
-        return Unary(kind, cat, _random_tree(rng, next_pos, depth + 1))
+        return Node(kind, cat, (_random_tree(rng, next_pos, depth + 1),))
     if shape == 2:
         kind = rng.choice([K.FWD_APPL, K.BWD_APPL, K.FWD_COMP, K.BWD_COMP, K.BWD_XCOMP, K.BWD_XSUBST])
-        return Binary(kind, cat, _random_tree(rng, next_pos, depth + 1), _random_tree(rng, next_pos, depth + 1))
-    return Ternary(
+        return Node(kind, cat, (_random_tree(rng, next_pos, depth + 1), _random_tree(rng, next_pos, depth + 1)))
+    return Node(
         K.COORD,
         cat,
-        _random_tree(rng, next_pos, depth + 1),
-        _random_tree(rng, next_pos, depth + 1),
-        _random_tree(rng, next_pos, depth + 1),
+        (
+            _random_tree(rng, next_pos, depth + 1),
+            _random_tree(rng, next_pos, depth + 1),
+            _random_tree(rng, next_pos, depth + 1),
+        ),
     )
 
 

@@ -12,16 +12,14 @@ import random
 
 from ccgplan import (
     Asr,
-    Binary,
     Candidate,
     CombinatorKind,
     Leaf,
+    Node,
     ParseGoal,
     RuleConfig,
     TaggedSentence,
-    Ternary,
     Token,
-    Unary,
     best_effort,
     chart_parse_all,
     effective_max_steps,
@@ -141,10 +139,10 @@ def test_coordination_of_raised_noun_phrases():
     john, conj, mary = Leaf("John", C("NP"), 1), Leaf("and", C("conj"), 2), Leaf("Mary", C("NP"), 3)
     left = Leaf("left", C(r"S\NP"), 4)
     raised = C(r"S/(S\NP)")
-    coordinated = Ternary(K.COORD, raised, Unary(K.FWD_RAISE, raised, john), conj, Unary(K.FWD_RAISE, raised, mary))
+    coordinated = Node(K.COORD, raised, (Node(K.FWD_RAISE, raised, (john,)), conj, Node(K.FWD_RAISE, raised, (mary,))))
     expected = {
-        Binary(K.FWD_APPL, C("S"), coordinated, left),
-        Binary(K.BWD_APPL, C("S"), Ternary(K.COORD, C("NP"), john, conj, mary), left),
+        Node(K.FWD_APPL, C("S"), (coordinated, left)),
+        Node(K.BWD_APPL, C("S"), (Node(K.COORD, C("NP"), (john, conj, mary)), left)),
     }
     assert parse_all(ts, cfg, ParseGoal.strict()) == expected
     assert chart_parse_all(ts, cfg, ParseGoal.strict()) == expected
@@ -154,7 +152,7 @@ def test_best_effort_residue_with_a_raised_root():
     ts = _tagged(("John", "NP"), ("dog", "N"))
     cfg = RuleConfig(enabled={K.FWD_APPL, K.BWD_APPL, K.FWD_RAISE}, raise_targets=(C("S"),))
     john, dog = Leaf("John", C("NP"), 1), Leaf("dog", C("N"), 2)
-    expected = (2, {(john, dog), (Unary(K.FWD_RAISE, C(r"S/(S\NP)"), john), dog)})
+    expected = (2, {(john, dog), (Node(K.FWD_RAISE, C(r"S/(S\NP)"), (john,)), dog)})
     assert parse_all(ts, cfg, ParseGoal.best_effort()) == expected
     assert chart_parse_all(ts, cfg, ParseGoal.best_effort()) == expected
 
@@ -162,5 +160,5 @@ def test_best_effort_residue_with_a_raised_root():
 def test_strict_root_may_stand_raised_when_it_is_the_target():
     target = C(r"S/(S\NP)")
     trees = enumerate_parses(Asr.initial([C("NP")]), RuleConfig(), ParseGoal.strict(target))
-    assert trees == {Unary(K.FWD_RAISE, target, Leaf(None, C("NP"), 1))}
+    assert trees == {Node(K.FWD_RAISE, target, (Leaf(None, C("NP"), 1),))}
     assert enumerate_parses(Asr.initial([C("NP")]), RuleConfig(max_steps=1), ParseGoal.strict(target)) == trees

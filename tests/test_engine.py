@@ -8,15 +8,14 @@ from ccgplan import (
     Action,
     AnnotatedCategory,
     Asr,
-    Binary,
     Candidate,
     CombinatorKind,
     Leaf,
+    Node,
     ParseGoal,
     RuleConfig,
     TaggedSentence,
     Token,
-    Unary,
     applicable_actions,
     banned,
     best_effort,
@@ -206,20 +205,22 @@ def test_empty_step_rejected():
 
 def golden_tree(words=False):
     w = ("The", "dog", "bit", "John") if words else (None,) * 4
-    return Binary(
+    return Node(
         K.BWD_APPL,
         C("S"),
-        Binary(K.FWD_APPL, C("NP"), Leaf(w[0], C("NP/N"), 1), Leaf(w[1], C("N"), 2)),
-        Binary(K.FWD_APPL, C(r"S\NP"), Leaf(w[2], C(r"(S\NP)/NP"), 3), Leaf(w[3], C("NP"), 4)),
+        (
+            Node(K.FWD_APPL, C("NP"), (Leaf(w[0], C("NP/N"), 1), Leaf(w[1], C("N"), 2))),
+            Node(K.FWD_APPL, C(r"S\NP"), (Leaf(w[2], C(r"(S\NP)/NP"), 3), Leaf(w[3], C("NP"), 4))),
+        ),
     )
 
 
 def spurious_tree(words=False):
     w = ("The", "dog", "bit", "John") if words else (None,) * 4
-    np = Binary(K.FWD_APPL, C("NP"), Leaf(w[0], C("NP/N"), 1), Leaf(w[1], C("N"), 2))
-    raised = Unary(K.FWD_RAISE, C(r"S/(S\NP)"), np)
-    composed = Binary(K.FWD_COMP, C("S/NP"), raised, Leaf(w[2], C(r"(S\NP)/NP"), 3))
-    return Binary(K.FWD_APPL, C("S"), composed, Leaf(w[3], C("NP"), 4))
+    np = Node(K.FWD_APPL, C("NP"), (Leaf(w[0], C("NP/N"), 1), Leaf(w[1], C("N"), 2)))
+    raised = Node(K.FWD_RAISE, C(r"S/(S\NP)"), (np,))
+    composed = Node(K.FWD_COMP, C("S/NP"), (raised, Leaf(w[2], C(r"(S\NP)/NP"), 3)))
+    return Node(K.FWD_APPL, C("S"), (composed, Leaf(w[3], C("NP"), 4)))
 
 
 def test_enumerate_golden_sentence():
@@ -297,12 +298,11 @@ def test_best_effort_the_dog_bit(demo_lexicon):
     (forest,) = forests
     assert len(forest) == 1
     assert forest[0].cat == C("S/NP")
-    np = Binary(K.FWD_APPL, C("NP"), Leaf("The", C("NP/N"), 1), Leaf("dog", C("N"), 2))
-    expected = Binary(
+    np = Node(K.FWD_APPL, C("NP"), (Leaf("The", C("NP/N"), 1), Leaf("dog", C("N"), 2)))
+    expected = Node(
         K.FWD_COMP,
         C("S/NP"),
-        Unary(K.FWD_RAISE, C(r"S/(S\NP)"), np),
-        Leaf("bit", C(r"(S\NP)/NP"), 3),
+        (Node(K.FWD_RAISE, C(r"S/(S\NP)"), (np,)), Leaf("bit", C(r"(S\NP)/NP"), 3)),
     )
     assert forest[0] == expected
 

@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 
 from ccgplan import (
     Atom,
-    Binary,
     CombinatorKind,
     Functor,
     Leaf,
+    Node,
     ParseGoal,
     RuleConfig,
-    Ternary,
-    Unary,
     parse_all,
     parse_category,
     tag_with_lexicon,
@@ -62,7 +60,7 @@ def test_ascii_forest_side_by_side():
 
 
 def test_ascii_wide_category_over_narrow_leaf():
-    tree = Unary(K.FWD_RAISE, C(r"S/(S\NP)"), Leaf("it", C("NP"), 1))
+    tree = Node(K.FWD_RAISE, C(r"S/(S\NP)"), (Leaf("it", C("NP"), 1),))
     lines = to_ascii(tree).splitlines()
     assert lines[-1] == r"S/(S\NP)"
     assert lines[-2].endswith(">T")
@@ -99,9 +97,9 @@ _binary_kinds = st.sampled_from([K.FWD_APPL, K.BWD_APPL, K.FWD_COMP, K.BWD_COMP,
 
 def _internal(children):
     return st.one_of(
-        st.builds(Unary, _unary_kinds, _cats, children),
-        st.builds(Binary, _binary_kinds, _cats, children, children),
-        st.builds(Ternary, st.just(K.COORD), _cats, children, children, children),
+        st.builds(Node, _unary_kinds, _cats, st.tuples(children)),
+        st.builds(Node, _binary_kinds, _cats, st.tuples(children, children)),
+        st.builds(Node, st.just(K.COORD), _cats, st.tuples(children, children, children)),
     )
 
 

@@ -1,0 +1,91 @@
+"""Derivation trees: ``check_tree`` rejects unsound trees, and the tree
+helpers keep a tree's shape."""
+
+import dataclasses
+
+import pytest
+
+from ccgplan import CombinatorKind, Leaf, Node, attach_words, check_tree, leaves, parse_category
+from ccgplan.trees import as_forest
+
+C = parse_category
+K = CombinatorKind
+
+
+def _np(det=1, noun=2):
+    return Node(K.FWD_APPL, C("NP"), (Leaf(None, C("NP/N"), det), Leaf(None, C("N"), noun)))
+
+
+def _coordination(raised=r"S/(S\NP)"):
+    """*John and Mary left*, the subjects raised and then coordinated."""
+    john, conj, mary = Leaf(None, C("NP"), 1), Leaf(None, C("conj"), 2), Leaf(None, C("NP"), 3)
+    both = Node(
+        K.COORD,
+        C(r"S/(S\NP)"),
+        (Node(K.FWD_RAISE, C(raised), (john,)), conj, Node(K.FWD_RAISE, C(r"S/(S\NP)"), (mary,))),
+    )
+    return Node(K.FWD_APPL, C("S"), (both, Leaf(None, C(r"S\NP"), 4)))
+
+
+def _shape(t):
+    return (t.kind, t.cat, tuple(_shape(k) for k in t.kids))
+
+
+def test_sound_trees_pass():
+    assert check_tree(Leaf(None, C("NP"), 1))
+    assert check_tree(_np())
+    assert check_tree(_coordination())
+    # a raise is checked against the target it names, configured or not
+    assert check_tree(Node(K.BWD_RAISE, C(r"PP\(PP/NP)"), (Leaf(None, C("NP"), 1),)))
+
+
+BAD_TREES = {
+    "category does not re-derive": Node(K.FWD_APPL, C("S"), _np().kids),
+    "wrong combinator": Node(K.BWD_APPL, C("NP"), _np().kids),
+    "bad category below the root": _coordination(raised=r"S/(S\N)"),
+    "forward raise with a forward inner slash": Node(K.FWD_RAISE, C("S/(S/NP)"), (Leaf(None, C("NP"), 1),)),
+    "backward raise with a forward outer slash": Node(K.BWD_RAISE, C(r"S/(S\NP)"), (Leaf(None, C("NP"), 1),)),
+    "raise whose inner result differs": Node(K.FWD_RAISE, C(r"S/(PP\NP)"), (Leaf(None, C("NP"), 1),)),
+    "coordination without conj": Node(
+        K.COORD, C("NP"), (Leaf(None, C("NP"), 1), Leaf(None, C("NP"), 2), Leaf(None, C("NP"), 3))
+    ),
+    "coordination of unlike conjuncts": Node(
+        K.COORD, C("NP"), (Leaf(None, C("NP"), 1), Leaf(None, C("conj"), 2), Leaf(None, C("N"), 3))
+    ),
+    "leaves out of order": _np(det=2, noun=1),
+    "repeated leaf position": _np(det=1, noun=1),
+    "> with three children": Node(K.FWD_APPL, C("NP"), _np().kids + (Leaf(None, C("N"), 3),)),
+    "& with two children": Node(K.COORD, C("NP"), (Leaf(None, C("NP"), 1), Leaf(None, C("NP"), 2))),
+    ">T with two children": Node(K.FWD_RAISE, C(r"S/(S\NP)"), (Leaf(None, C("NP"), 1), Leaf(None, C("NP"), 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TREES))
+def test_check_tree_rejects(name):
+    assert not check_tree(BAD_TREES[name])
+
+
+def test_attach_words_keeps_the_shape_and_fills_every_leaf():
+    tree = _coordination()
+    words = {1: "John", 2: "and", 3: "Mary", 4: "left"}
+    worded = attach_words(tree, words)
+    assert _shape(worded) == _shape(tree)
+    assert [(lf.word, lf.pos) for lf in leaves(worded)] == [(w, p) for p, w in words.items()]
+    assert attach_words(worded, dict.fromkeys(words)) == tree
+    partial = attach_words(tree, {4: "left"})
+    assert [lf.word for lf in leaves(partial)] == [None, None, None, "left"]
+
+
+def test_as_forest():
+    node, leaf = _np(), Leaf("it", C("NP"), 3)
+    assert as_forest(node) == (node,)
+    assert as_forest(leaf) == (leaf,)
+    assert as_forest((node, leaf)) == (node, leaf)
+    assert as_forest([leaf]) == (leaf,)
+
+
+def test_a_leaf_answers_kind_and_kids_without_new_fields():
+    leaf = Leaf("it", C("NP"), 3)
+    assert (leaf.kind, leaf.kids) == (None, ())
+    assert [f.name for f in dataclasses.fields(Leaf)] == ["word", "cat", "pos"]
+    assert repr(leaf) == "Leaf(word='it', cat=Atom(name='NP'), pos=3)"
