@@ -42,15 +42,7 @@ from typing import Literal, Sequence
 from .asr import Action, AnnotatedCategory, Asr, Plan, step
 from .categories import Atom, Category
 from .lexicon import TaggedSentence, initial_asrs
-from .rules import (
-    RAISE_KINDS,
-    CombinatorKind,
-    RuleConfig,
-    binary_instances,
-    normal_form_blocked,
-    ternary_instances,
-    unary_instances,
-)
+from .rules import CombinatorKind, RuleConfig, binary_instances, blocked, ternary_instances, unary_instances
 from .trees import DerivationTree, Leaf, Node, as_forest, attach_words, tree_height
 
 
@@ -76,16 +68,9 @@ def effective_max_steps(cfg: RuleConfig, sentence_length: int) -> int:
 
 
 def applicable_actions(s: Asr, cfg: RuleConfig) -> tuple[Action, ...]:
-    """Schema-applicable, unbanned actions in a state, left to right.
-
-    Besides the normalization bans, a category built by type raising is
-    never raised again; without that bound, normalize-off enumeration and
-    the chart oracle would disagree on raise towers.
-    """
+    """Schema-applicable, unbanned actions in a state, left to right."""
     out: list[Action] = []
     for item in s.items:
-        if s.last_action.get(item.pos) in RAISE_KINDS:
-            continue
         for inst in unary_instances(item.cat, cfg):
             out.append(Action(inst.kind, (item.pos,), inst.output, s.time))
     for i in range(len(s.items) - 1):
@@ -100,12 +85,10 @@ def applicable_actions(s: Asr, cfg: RuleConfig) -> tuple[Action, ...]:
 
 
 def banned(a: Action, s: Asr, cfg: RuleConfig) -> bool:
-    """True iff a normalization clause forbids the action in this state."""
-    if not cfg.normalize:
-        return False
+    """True iff ``rules.blocked`` forbids the action on its inputs' producers."""
     left = s.last_action.get(a.positions[0])
     right = s.last_action.get(a.positions[-1]) if len(a.positions) > 1 else None
-    return normal_form_blocked(a.kind, left, right)
+    return blocked(a.kind, left, right, cfg)
 
 
 # A search's packed sub-derivations ("recipes") are trees of ints over the
@@ -198,7 +181,7 @@ class _Tables:
             if height > self.limit:
                 continue
             for kind, out in insts:
-                if self.cfg.normalize and normal_form_blocked(kind, nodes[0][1], nodes[-1][1]):
+                if blocked(kind, nodes[0][1], nodes[-1][1], self.cfg):
                     continue
                 found.append((self.node(out, kind, height), raises))
         self.reduced[key] = found

@@ -60,10 +60,6 @@ class TaggedSentence:
         if len(self.tokens) > MAX_TOKENS:
             raise ValueError(f"sentence has {len(self.tokens)} tokens; at most {MAX_TOKENS} are supported")
 
-    @property
-    def words(self) -> tuple[str, ...]:
-        return tuple(t.word for t in self.tokens)
-
 
 @dataclass(frozen=True)
 class Lexicon:

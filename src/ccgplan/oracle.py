@@ -4,10 +4,10 @@ Builds every derivation over every span bottom-up, applying the same rule
 schemas and normal-form restrictions as the plan engine but expressed on
 tree shape. Cell ``(i, j)`` is the list of distinct trees over tokens
 i..j-1, in the order found; a tree's root ``kind`` is the combinator that
-built it (None for a lexical leaf), and a combination is dropped when the
-producer/consumer pair is blocked. A raised tree is never raised again;
-without that bound the unary closure would not terminate. Exhaustive, so
-guarded by a sentence-length limit.
+built it (None for a lexical leaf), and a combination or raise is dropped
+when ``rules.blocked`` bans it on its inputs' producers, as in the plan
+engine, so a raised tree is never raised again. Exhaustive, so guarded
+by a sentence-length limit.
 """
 
 from __future__ import annotations
@@ -16,14 +16,7 @@ from itertools import product
 
 from .engine import ParseGoal
 from .lexicon import TaggedSentence
-from .rules import (
-    RAISE_KINDS,
-    RuleConfig,
-    binary_instances,
-    normal_form_blocked,
-    ternary_instances,
-    unary_instances,
-)
+from .rules import RuleConfig, binary_instances, blocked, ternary_instances, unary_instances
 from .trees import DerivationTree, Leaf, Node
 
 
@@ -32,11 +25,11 @@ class ChartLimitError(ValueError):
 
 
 def _close_under_raising(trees: list[DerivationTree], cfg: RuleConfig) -> list[DerivationTree]:
-    """The trees plus every raise of an unraised one, each tree once."""
+    """The trees plus every raise of them that is not blocked, each tree once."""
     closed = list(trees)
     for t in trees:
-        if t.kind not in RAISE_KINDS:
-            closed.extend(Node(inst.kind, inst.output, (t,)) for inst in unary_instances(t.cat, cfg))
+        raises = [inst for inst in unary_instances(t.cat, cfg) if not blocked(inst.kind, t.kind, None, cfg)]
+        closed.extend(Node(inst.kind, inst.output, (t,)) for inst in raises)
     return list(dict.fromkeys(closed))
 
 
@@ -55,7 +48,7 @@ def _build_chart(ts: TaggedSentence, cfg: RuleConfig, guard: int) -> dict[tuple[
             for k in range(i + 1, j):
                 for l, r in product(cells[(i, k)], cells[(k, j)]):
                     for inst in binary_instances(l.cat, r.cat, cfg):
-                        if cfg.normalize and normal_form_blocked(inst.kind, l.kind, r.kind):
+                        if blocked(inst.kind, l.kind, r.kind, cfg):
                             continue
                         found.append(Node(inst.kind, inst.output, (l, r)))
             for k in range(i + 1, j - 1):

@@ -18,7 +18,7 @@ Ternary schema:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .categories import Atom, Category, CategoryError, Functor, bwd, fwd, parse_category, print_category
@@ -220,20 +220,28 @@ def valid_instance(kind: CombinatorKind, inputs: tuple[Category, ...], output: C
     return _binary_output(kind, *inputs) == output
 
 
-def normal_form_blocked(
+def blocked(
     kind: CombinatorKind,
     left_producer: CombinatorKind | None,
     right_producer: CombinatorKind | None,
+    cfg: RuleConfig,
 ) -> bool:
-    """Normal-form restriction on which producer may feed which rule.
+    """Whether a rule may not consume inputs built by these producers.
 
-    A forward application may not consume, on its left, something built by
-    forward raising (raise-then-apply rewrites to the plain application) or
-    by forward composition (compose-then-apply rewrites to apply-apply);
-    forward composition may not consume a forward-composition result on its
-    left (branching normalization). Backward rules mirror these on the
-    right side. Callers gate this on their normalize switch.
+    In both modes a raise never consumes a raise; without that bound raise
+    towers would never end. With normalization on, a forward application
+    may not consume, on its left, something built by forward raising (N1:
+    raise-then-apply rewrites to the plain application) or by forward
+    composition (N3: compose-then-apply rewrites to apply-apply); forward
+    composition may not consume a forward-composition result on its left
+    (N2: branching normalization). Backward rules mirror these on the
+    right side. The one other ban, N4 (raise only NP), limits which raises
+    exist at all, so ``unary_instances`` applies it.
     """
+    if kind in RAISE_KINDS:
+        return left_producer in RAISE_KINDS
+    if not cfg.normalize:
+        return False
     if kind is CombinatorKind.FWD_APPL:
         return left_producer in (CombinatorKind.FWD_RAISE, CombinatorKind.FWD_COMP)
     if kind is CombinatorKind.BWD_APPL:
@@ -257,13 +265,12 @@ def kind_from_name(name: str) -> CombinatorKind:
     raise RuleConfigError(f"unknown rule name {name.strip()!r}")
 
 
-def load_rule_config(text: str, base: RuleConfig | None = None) -> RuleConfig:
-    """Parse a ``key = value`` configuration, overriding ``base`` (defaults).
+def load_rule_config(text: str) -> RuleConfig:
+    """Parse a ``key = value`` configuration; a missing key keeps its default.
 
     Keys: rules (comma list of kind names), raise_targets (comma list of
     category expressions), normalize (on/off), max_steps (integer).
     """
-    base = base or RuleConfig()
     fields: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -290,6 +297,6 @@ def load_rule_config(text: str, base: RuleConfig | None = None) -> RuleConfig:
         except (RuleConfigError, CategoryError, ValueError) as exc:
             raise RuleConfigError(f"line {lineno}: {exc}") from exc
     try:
-        return replace(base, **fields)
+        return RuleConfig(**fields)
     except ValueError as exc:
         raise RuleConfigError(str(exc)) from exc

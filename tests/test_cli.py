@@ -52,6 +52,16 @@ def test_parse_oov_word(lexicon_file, capsys):
     assert "cat" in capsys.readouterr().err
 
 
+def test_parse_rejects_a_bound_below_one(lexicon_file, tmp_path, capsys):
+    words = ["parse", "--lexicon", lexicon_file, "--words", "The dog bit John"]
+    assert main([*words, "--max-steps", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: max_steps must be >= 1\n")
+    rules = tmp_path / "rules.cfg"
+    rules.write_text("max_steps = 0\n", encoding="utf-8")
+    assert main([*words, "--rules", str(rules)]) == 1
+    assert capsys.readouterr() == ("", f"error: {rules}: max_steps must be >= 1\n")
+
+
 def test_parse_zero_tokens(lexicon_file):
     assert main(["parse", "--lexicon", lexicon_file, "--words", "  "]) == 1
 

@@ -83,6 +83,15 @@ def test_raised_item_is_not_raised_again():
     assert applicable_actions(s, RuleConfig(normalize=False)) == ()
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+def test_banned_agrees_that_a_raise_is_never_raised(normalize):
+    s = Asr(items=(AnnotatedCategory(1, C(r"S/(S\NP)")),), time=1, last_affected={1: 1}, last_action={1: K.FWD_RAISE})
+    act = Action(K.FWD_RAISE, (1,), C(r"S/(S\(S/(S\NP)))"), 1)
+    cfg = RuleConfig(normalize=normalize)
+    assert banned(act, s, cfg)
+    assert applicable_actions(s, cfg) == ()
+
+
 # normalization bans (N1-N4)
 
 

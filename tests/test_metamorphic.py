@@ -4,15 +4,17 @@ Example size is bounded explicitly: at most ``MAX_TOKENS`` tokens, each
 with one to ``MAX_CANDIDATES`` distinct candidate categories from a fixed
 pool, under any non-empty set of the nine combinators. Random sentences
 rarely have a strict parse, so the laws relating strict parses to other
-results also draw sentences from parseable shapes. A last law counts the
-strict parses of composition chains in closed form.
+results also draw sentences from parseable shapes. One law counts the
+strict parses of composition chains in closed form. The last two compare
+what trees mean (``tests/semantics.py``): the normal form keeps exactly
+one tree per reading of the unnormalized trees that raise only ``NP``.
 """
 
 from dataclasses import replace
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccgplan import (
@@ -34,7 +36,8 @@ from ccgplan import (
     print_category,
     replay_plan,
 )
-from ccgplan.rules import DEFAULT_RAISE_TARGETS
+from ccgplan.rules import DEFAULT_RAISE_TARGETS, RAISE_KINDS
+from semantics import reading
 
 MAX_TOKENS = 5
 MAX_CANDIDATES = 2
@@ -227,3 +230,68 @@ def test_composition_chains_have_one_parse_per_bracketing_within_the_height_boun
         off = enumerate_parses(chain(n, forward), replace(cfg, normalize=False), goal)
         on = enumerate_parses(chain(n, forward), cfg, goal)
         assert (len(off), len(on)) == (bracketings(n, height), int(height >= n - 1)), height
+
+
+# Shapes where a normal-form clause chooses between derivations of one
+# reading: a composition chain as an argument and coordinated (N2, N3),
+# right-node raising (N1), crossed composition before application.
+NORMAL_FORM_SHAPES = [
+    ["S/S", "S/S", "S/NP", r"S\(S/NP)"],
+    ["S/S", "S/S", "S/NP", "conj", "S/NP", "NP"],
+    ["NP", r"(S\NP)/NP", "conj", "NP", r"(S\NP)/NP", "NP"],
+    ["S/NP", r"S\S", "NP"],
+]
+
+
+def _sentence(cats):
+    return TaggedSentence(tuple(Token(f"w{i}", (Candidate(parse_category(c)),)) for i, c in enumerate(cats)))
+
+
+@st.composite
+def normal_form_cases(draw):
+    cfg = RuleConfig(enabled=draw(rule_sets) | APPLICATION, raise_targets=(draw(raise_targets),))
+    return _sentence(draw(st.sampled_from(NORMAL_FORM_SHAPES))), cfg
+
+
+@st.composite
+def reading_cases(draw):
+    """A case whose ``max_steps``, 2n+1, cuts no tree: a path from the root
+    to a leaf passes at most n-1 rule nodes and one raise above each of
+    its nodes."""
+    ts, cfg = draw(cases() | shaped_cases() | normal_form_cases())
+    return ts, replace(cfg, max_steps=2 * len(ts.tokens) + 1)
+
+
+# With every combinator on, the first two shapes need N2 to keep one
+# composition chain per reading, and the first loses a reading if N3 also
+# banned applying a functor to a composed argument.
+ALL_RULES = RuleConfig(enabled=frozenset(CombinatorKind), raise_targets=DEFAULT_RAISE_TARGETS[:1])
+CHAIN_CASES = [(_sentence(cats), replace(ALL_RULES, max_steps=2 * len(cats) + 1)) for cats in NORMAL_FORM_SHAPES[:2]]
+
+
+def _raises_only_np(tree) -> bool:
+    if tree.kind in RAISE_KINDS and tree.kids[0].cat != parse_category("NP"):
+        return False
+    return all(_raises_only_np(kid) for kid in tree.kids)
+
+
+@EXAMPLES
+@given(reading_cases())
+@example(CHAIN_CASES[0])
+@example(CHAIN_CASES[1])
+def test_normal_form_trees_have_pairwise_distinct_readings(case):
+    ts, cfg = case
+    readings = [reading(t) for t in parse_all(ts, replace(cfg, normalize=True), STRICT)]
+    assert len(set(readings)) == len(readings)
+
+
+@EXAMPLES
+@given(reading_cases())
+@example(CHAIN_CASES[0])
+def test_normal_form_readings_are_those_of_the_trees_raising_only_np(case):
+    """The bans drop derivations, never readings, except for the raises of
+    non-``NP`` categories that clause N4 takes out of the grammar."""
+    ts, cfg = case
+    on = {reading(t) for t in parse_all(ts, replace(cfg, normalize=True), STRICT)}
+    off = parse_all(ts, replace(cfg, normalize=False), STRICT)
+    assert on == {reading(t) for t in off if _raises_only_np(t)}
