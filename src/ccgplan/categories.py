@@ -21,9 +21,25 @@ class CategoryError(ValueError):
         self.offset = offset
 
 
+# Categories are hashed again and again as keys and in the sets of trees
+# the engines build, so each computes its hash once, when it is built: the
+# value the dataclass hash would give, without recursing into its parts.
+# Pickling rebuilds a category from its fields, since string hashes, and
+# with them the cached value, differ between processes.
+
+
 @dataclass(frozen=True)
 class Atom:
     name: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Atom, (self.name,)
 
 
 @dataclass(frozen=True)
@@ -31,6 +47,15 @@ class Functor:
     result: "Category"
     arg: "Category"
     forward: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.result, self.arg, self.forward)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Functor, (self.result, self.arg, self.forward)
 
 
 Category = Union[Atom, Functor]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import re
 import sys
 import time
@@ -101,7 +100,8 @@ def _render_documents(parses, fmt: str) -> list[str]:
             docs.append(to_ascii(entry))
         elif fmt == "json":
             if isinstance(entry, tuple):
-                docs.append(json.dumps([json.loads(doc) for doc in key], indent=2, sort_keys=True))
+                # a list of the tree documents, each indented one level
+                docs.append("[\n  " + ",\n  ".join(doc.replace("\n", "\n  ") for doc in key) + "\n]")
             else:
                 docs.append(key[0])
         else:

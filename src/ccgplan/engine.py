@@ -35,32 +35,23 @@ trees found are exactly those denoted by admissible canonical plans;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Literal, Sequence
+from typing import Sequence
 
 from .asr import Action, AnnotatedCategory, Asr, Plan, step
-from .categories import Atom, Category
+from .categories import Category
 from .lexicon import TaggedSentence, initial_asrs
-from .rules import CombinatorKind, RuleConfig, binary_instances, blocked, ternary_instances, unary_instances
+from .rules import (
+    RAISE_KINDS,
+    CombinatorKind,
+    ParseGoal,
+    RuleConfig,
+    binary_instances,
+    blocked,
+    ternary_instances,
+    unary_instances,
+)
 from .trees import DerivationTree, Leaf, Node, as_forest, attach_words, tree_height
-
-
-@dataclass(frozen=True)
-class ParseGoal:
-    """Strict: reduce to a single ``target`` category. Best-effort: reach
-    the fewest residual categories, then enumerate all optima."""
-
-    mode: Literal["strict", "best-effort"]
-    target: Category = Atom("S")
-
-    @classmethod
-    def strict(cls, target: Category = Atom("S")) -> "ParseGoal":
-        return cls("strict", target)
-
-    @classmethod
-    def best_effort(cls) -> "ParseGoal":
-        return cls("best-effort")
 
 
 def effective_max_steps(cfg: RuleConfig, sentence_length: int) -> int:
@@ -71,6 +62,9 @@ def applicable_actions(s: Asr, cfg: RuleConfig) -> tuple[Action, ...]:
     """Schema-applicable, unbanned actions in a state, left to right."""
     out: list[Action] = []
     for item in s.items:
+        producer = s.last_action.get(item.pos)
+        if all(blocked(kind, producer, None, cfg) for kind in RAISE_KINDS):
+            continue  # no raise may consume this item: build none
         for inst in unary_instances(item.cat, cfg):
             out.append(Action(inst.kind, (item.pos,), inst.output, s.time))
     for i in range(len(s.items) - 1):

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .engine import ParseGoal
 from .lexicon import TaggedSentence
-from .rules import RuleConfig, binary_instances, blocked, ternary_instances, unary_instances
+from .rules import ParseGoal, RuleConfig, binary_instances, blocked, ternary_instances, unary_instances
 from .trees import DerivationTree, Leaf, Node
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Sequence
 
 from .categories import parse_category, print_category
@@ -85,22 +86,30 @@ def to_ascii(parse: DerivationTree | Sequence[DerivationTree]) -> str:
     return "\n".join("".join(row).rstrip() for row in rows)
 
 
-def _tree_to_obj(t: DerivationTree) -> dict:
-    if isinstance(t, Leaf):
-        obj = {"kind": "Leaf", "category": print_category(t.cat), "pos": t.pos, "children": []}
-        if t.word is not None:
-            obj["word"] = t.word
-        return obj
-    return {
-        "kind": t.kind.value,
-        "category": print_category(t.cat),
-        "children": [_tree_to_obj(c) for c in t.kids],
-    }
-
-
 def to_json(t: DerivationTree) -> str:
-    """Canonical tree document; ``tree_from_json`` decodes it back."""
-    return json.dumps(_tree_to_obj(t), indent=2, sort_keys=True)
+    """Canonical tree document; ``tree_from_json`` decodes it back.
+
+    The bytes are those ``json.dumps`` writes with a two-space indent and
+    sorted keys, strings escaped to ASCII. They are written directly, since
+    an indent puts ``json.dumps`` on its pure-Python encoder."""
+    return _json_object(t, "\n")
+
+
+def _json_object(t: DerivationTree, pad: str) -> str:
+    """One tree node's object, its closing brace on a line after ``pad``."""
+    inner = pad + "  "
+    if t.kids:
+        kid_pad = inner + "  "
+        children = f"[{kid_pad}{f',{kid_pad}'.join([_json_object(c, kid_pad) for c in t.kids])}{inner}]"
+    else:
+        children = "[]"
+    if isinstance(t, Leaf):
+        rest = f'"kind": "Leaf",{inner}"pos": {t.pos}'
+        if t.word is not None:
+            rest += f',{inner}"word": {_quote(t.word)}'
+    else:
+        rest = f'"kind": {_quote(t.kind.value)}'
+    return f'{{{inner}"category": {_quote(print_category(t.cat))},{inner}"children": {children},{inner}{rest}{pad}}}'
 
 
 def _tree_from_obj(obj) -> DerivationTree:

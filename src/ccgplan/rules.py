@@ -1,4 +1,4 @@
-"""Combinator kinds, rule configuration, and rule-instance computation.
+"""Combinator kinds, rule configuration, parse goals, and rule-instance computation.
 
 Binary schemas (l r => output):
     >    A/B  B      => A
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Literal
 
 from .categories import Atom, Category, CategoryError, Functor, bwd, fwd, parse_category, print_category
 
@@ -34,6 +35,10 @@ class CombinatorKind(Enum):
     BWD_XCOMP = "BwdXComp"
     BWD_XSUBST = "BwdXSubst"
     COORD = "Coord"
+
+    # identity hashing, in C: ``Enum.__hash__`` is Python code, and trees
+    # hash their combinators each time they enter a set
+    __hash__ = object.__hash__
 
     @property
     def symbol(self) -> str:
@@ -113,6 +118,23 @@ class RuleConfig:
             raise ValueError("raise_targets must be non-empty when a raise rule is enabled")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+
+
+@dataclass(frozen=True)
+class ParseGoal:
+    """Strict: reduce to a single ``target`` category. Best-effort: reach
+    the fewest residual categories, then enumerate all optima."""
+
+    mode: Literal["strict", "best-effort"]
+    target: Category = Atom("S")
+
+    @classmethod
+    def strict(cls, target: Category = Atom("S")) -> "ParseGoal":
+        return cls("strict", target)
+
+    @classmethod
+    def best_effort(cls) -> "ParseGoal":
+        return cls("best-effort")
 
 
 @dataclass(frozen=True)

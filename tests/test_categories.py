@@ -1,8 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ccgplan import Atom, CategoryError, Functor, bwd, fwd, parse_category, print_category
+from ccgplan import (
+    Atom,
+    CategoryError,
+    Functor,
+    RuleConfig,
+    binary_instances,
+    bwd,
+    fwd,
+    parse_category,
+    print_category,
+    unary_instances,
+)
 
 S, NP, N = Atom("S"), Atom("NP"), Atom("N")
 
@@ -72,7 +88,9 @@ categories = st.recursive(
 
 @given(categories)
 def test_print_parse_round_trip(c):
-    assert parse_category(print_category(c)) == c
+    parsed = parse_category(print_category(c))
+    assert parsed == c
+    assert hash(parsed) == hash(c)
 
 
 @given(categories)
@@ -103,3 +121,37 @@ def test_nesting_up_to_the_bound_parses():
 def test_nesting_past_the_bound_is_a_category_error(text):
     with pytest.raises(CategoryError, match="nested deeper"):
         parse_category(text)
+
+
+def test_equal_categories_built_each_way_hash_equal():
+    built = fwd(bwd(S, NP), NP)
+    parsed = parse_category(r"(S\NP)/NP")
+    (composed,) = [i.output for i in binary_instances(fwd(bwd(S, NP), S), fwd(S, NP), RuleConfig())]
+    assert built == parsed == composed
+    assert hash(built) == hash(parsed) == hash(composed)
+    raised = {i.output for i in unary_instances(NP, RuleConfig(raise_targets=(S,)))}
+    assert raised == {parse_category(r"S/(S\NP)"), parse_category(r"S\(S/NP)")}
+
+
+_PICKLE_CATEGORY = (
+    "import pickle, sys; from ccgplan import parse_category; "
+    r"sys.stdout.buffer.write(pickle.dumps(parse_category('((S\\NP)/NP)/(N/N)')))"
+)
+_LOAD_CATEGORY = (
+    "import pickle, sys; from ccgplan import parse_category; "
+    "c = pickle.loads(sys.stdin.buffer.read()); "
+    r"wanted = parse_category('((S\\NP)/NP)/(N/N)'); "
+    "print(c in {wanted}, wanted in {c}, hash(c) == hash(wanted))"
+)
+
+
+def test_unpickled_category_rehashes_in_a_new_process():
+    # string hashes differ between processes, so a hash cached in one
+    # must not travel with the pickle
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(code: str, seed: str, data: bytes | None = None) -> bytes:
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-c", code], input=data, env=env, capture_output=True, check=True).stdout
+
+    assert run(_LOAD_CATEGORY, "2", run(_PICKLE_CATEGORY, "1")).split() == [b"True", b"True", b"True"]

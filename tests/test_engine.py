@@ -92,6 +92,29 @@ def test_banned_agrees_that_a_raise_is_never_raised(normalize):
     assert applicable_actions(s, cfg) == ()
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+def test_raised_item_gets_no_raise_instances_built(monkeypatch, normalize):
+    s = Asr(
+        items=(AnnotatedCategory(1, C(r"S/(S\NP)")), AnnotatedCategory(2, C("NP")), AnnotatedCategory(3, C(r"S\NP"))),
+        time=1,
+        last_affected={1: 1},
+        last_action={1: K.FWD_RAISE},
+    )
+    cfg = RuleConfig(normalize=normalize)
+    expected = applicable_actions(s, cfg)
+    asked = []
+    original = ccgplan.engine.unary_instances
+
+    def counting(c, cfg):
+        asked.append(c)
+        return original(c, cfg)
+
+    monkeypatch.setattr(ccgplan.engine, "unary_instances", counting)
+    assert applicable_actions(s, cfg) == expected
+    assert asked == [C("NP"), C(r"S\NP")]
+    assert any(a.kind is K.FWD_RAISE and a.positions == (2,) for a in expected)
+
+
 # normalization bans (N1-N4)
 
 

@@ -1,7 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import ccgplan.oracle
 from ccgplan import (
     Candidate,
     ChartLimitError,
@@ -88,3 +91,20 @@ def test_oracle_agrees_with_plan_engine_on_random_sentences():
         cfg = RuleConfig(normalize=case % 2 == 0, max_steps=2 * n + 1)
         goal = ParseGoal.strict()
         assert parse_all(ts, cfg, goal) == chart_parse_all(ts, cfg, goal)
+
+
+def test_oracle_imports_nothing_from_the_plan_engine():
+    # the oracle is the independent reference: it must load, and agree or
+    # disagree, whatever state the plan search is in
+    tree = ast.parse(Path(ccgplan.oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add("." * node.level + node.module)
+            else:
+                imported.update("." * node.level + alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported.isdisjoint({".engine", "ccgplan.engine"})
+    assert ".rules" in imported

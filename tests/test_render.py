@@ -1,7 +1,7 @@
 import json
 import re
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ccgplan import (
@@ -14,12 +14,14 @@ from ccgplan import (
     RuleConfig,
     parse_all,
     parse_category,
+    print_category,
     tag_with_lexicon,
     to_ascii,
     to_dot,
     to_json,
     tree_from_json,
 )
+from ccgplan.cli import _render_documents
 from ccgplan.trees import node_count
 
 C = parse_category
@@ -92,7 +94,7 @@ _cats = st.recursive(
 _words = st.none() | st.text(alphabet="abcdefg", min_size=1, max_size=5)
 _leaves = st.builds(Leaf, _words, _cats, st.integers(1, 99))
 _unary_kinds = st.sampled_from([K.FWD_RAISE, K.BWD_RAISE])
-_binary_kinds = st.sampled_from([K.FWD_APPL, K.BWD_APPL, K.FWD_COMP, K.BWD_COMP, K.BWD_XCOMP])
+_binary_kinds = st.sampled_from([K.FWD_APPL, K.BWD_APPL, K.FWD_COMP, K.BWD_COMP, K.BWD_XCOMP, K.BWD_XSUBST])
 
 
 def _internal(children):
@@ -122,6 +124,37 @@ def test_formats_agree_on_node_count(tree):
         return 1 + sum(json_nodes(c) for c in obj["children"])
 
     assert json_nodes(json.loads(to_json(tree))) == count
+
+
+# any word a token may carry: empty, non-ASCII, control characters, quotes
+# and backslashes, which JSON escapes
+_any_words = st.none() | st.text(
+    alphabet=st.sampled_from('ab "\\/\x00\x1f\x7f\n\té€\u2028😀') | st.characters(), max_size=6
+)
+
+
+_any_trees = st.recursive(st.builds(Leaf, _any_words, _cats, st.integers(0, 10**6)), _internal, max_leaves=6)
+
+
+def _reference_obj(t):
+    if isinstance(t, Leaf):
+        obj = {"kind": "Leaf", "category": print_category(t.cat), "pos": t.pos, "children": []}
+        if t.word is not None:
+            obj["word"] = t.word
+        return obj
+    return {"kind": t.kind.value, "category": print_category(t.cat), "children": [_reference_obj(c) for c in t.kids]}
+
+
+@given(_any_trees)
+@example(Leaf('a"b\\c\x01é😀', C(r"S\NP"), 1))
+def test_json_bytes_match_the_json_module(tree):
+    assert to_json(tree) == json.dumps(_reference_obj(tree), indent=2, sort_keys=True)
+
+
+@given(st.lists(_any_trees, min_size=1, max_size=3))
+def test_forest_document_bytes_match_the_json_module(forest):
+    (doc,) = _render_documents({tuple(forest)}, "json")
+    assert doc == json.dumps([_reference_obj(t) for t in forest], indent=2, sort_keys=True)
 
 
 def test_dot_escapes_backslashes(demo_lexicon):
