@@ -21,11 +21,10 @@ class CategoryError(ValueError):
         self.offset = offset
 
 
-# Categories are hashed again and again as keys and in the sets of trees
-# the engines build, so each computes its hash once, when it is built: the
-# value the dataclass hash would give, without recursing into its parts.
-# Pickling rebuilds a category from its fields, since string hashes, and
-# with them the cached value, differ between processes.
+# Every category holds its canonical text, built once from its parts' text
+# when the category is built: printing reads it, and hashing hashes it, so
+# neither recurses. Equality stays structural, since text alone would
+# equate ``Functor(A, Atom("B/C"))`` with ``Functor(Atom("A/B"), C)``.
 
 
 @dataclass(frozen=True)
@@ -33,13 +32,10 @@ class Atom:
     name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.name,)))
+        object.__setattr__(self, "_text", self.name)
 
     def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Atom, (self.name,)
+        return hash(self._text)
 
 
 @dataclass(frozen=True)
@@ -49,13 +45,11 @@ class Functor:
     forward: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.result, self.arg, self.forward)))
+        slash = "/" if self.forward else "\\"
+        object.__setattr__(self, "_text", f"{_wrap(self.result)}{slash}{_wrap(self.arg)}")
 
     def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Functor, (self.result, self.arg, self.forward)
+        return hash(self._text)
 
 
 Category = Union[Atom, Functor]
@@ -78,12 +72,9 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
     for m in _TOKEN.finditer(text):
         tok = m.group()
-        if tok.isalnum():
-            tokens.append((tok, m.start()))
-        elif tok in "/\\()":
-            tokens.append((tok, m.start()))
-        else:
+        if not (tok.isalnum() or tok in "/\\()"):
             raise CategoryError(f"unexpected character {tok!r}", m.start())
+        tokens.append((tok, m.start()))
     return tokens
 
 
@@ -152,13 +143,8 @@ def parse_category(text: str) -> Category:
 
 def print_category(c: Category) -> str:
     """Render a category; complex subcategories are parenthesized."""
-    if isinstance(c, Atom):
-        return c.name
-    slash = "/" if c.forward else "\\"
-    return f"{_wrap(c.result)}{slash}{_wrap(c.arg)}"
+    return c._text
 
 
 def _wrap(c: Category) -> str:
-    if isinstance(c, Atom):
-        return c.name
-    return f"({print_category(c)})"
+    return c._text if isinstance(c, Atom) else f"({c._text})"

@@ -92,6 +92,18 @@ def _search(ts: TaggedSentence, cfg: RuleConfig, engine: str, goal: ParseGoal):
     return (chart_parse_all if engine == "oracle" else parse_all)(ts, cfg, goal)
 
 
+def _strict_rung(cutoffs, read, search):
+    """Widen the candidate sets rung by rung until one of the strict
+    searches finds a parse: that rung's cutoff, sentence and ``search``
+    results, or the last rung's if no rung has a parse."""
+    for cutoff in cutoffs:
+        ts = read(cutoff)
+        results = search(ts)
+        if any(results):
+            break
+    return cutoff, ts, results
+
+
 def _render_documents(parses, fmt: str) -> list[str]:
     docs = []
     # the sort key holds each tree's JSON document, so JSON reuses it
@@ -160,18 +172,15 @@ def cmd_parse(args) -> int:
         raise CliError("the oracle has no plan-length bound: drop --max-steps and the max_steps key")
     cutoffs, read = _sentences(args)
     if args.goal == "best-effort":
-        ts = read(cutoffs[-1])
+        cutoff, ts = cutoffs[-1], read(cutoffs[-1])
     else:
-        # widen the candidate sets rung by rung until a strict parse appears
-        for cutoff in cutoffs:
-            ts = read(cutoff)
-            trees = _search(ts, cfg, args.engine, ParseGoal.strict())
-            if trees:
-                return _finish(args, started, cutoff, "strict", 1, trees)
-        if args.goal == "strict":
-            return _finish(args, started, cutoff, "strict", len(ts.tokens), ())
+        cutoff, ts, (trees,) = _strict_rung(
+            cutoffs, read, lambda ts: (_search(ts, cfg, args.engine, ParseGoal.strict()),)
+        )
+        if trees or args.goal == "strict":
+            return _finish(args, started, cutoff, "strict", 1 if trees else len(ts.tokens), trees)
     residue, forests = _search(ts, cfg, args.engine, ParseGoal.best_effort())
-    return _finish(args, started, cutoffs[-1], "best-effort", residue, forests)
+    return _finish(args, started, cutoff, "best-effort", residue, forests)
 
 
 def cmd_check(args) -> int:
@@ -205,18 +214,21 @@ def cmd_check(args) -> int:
 
 def cmd_compare(args) -> int:
     _check_input(args)
-    cutoffs, read = _sentences(args)
-    ts = read(cutoffs[0])
     cfg = _build_config(args)
-    if cfg.max_steps is None:
-        # wide enough for any tree the oracle can build
-        cfg = dataclasses.replace(cfg, max_steps=2 * len(ts.tokens) + 1)
+    cutoffs, read = _sentences(args)
     goal = ParseGoal.strict() if args.goal == "strict" else ParseGoal.best_effort()
-    # the oracle first: its length guard fails at once, the plan search may take minutes
-    chart_side = _search(ts, cfg, "oracle", goal)
-    plan_side = _search(ts, cfg, "plan", goal)
-    if args.goal == "best-effort":
-        (chart_residue, chart_side), (plan_residue, plan_side) = chart_side, plan_side
+
+    def both(ts: TaggedSentence):
+        # wide enough for any tree the oracle can build
+        wide = cfg if cfg.max_steps is not None else dataclasses.replace(cfg, max_steps=2 * len(ts.tokens) + 1)
+        # the oracle first: its length guard fails at once, the plan search may take minutes
+        return _search(ts, wide, "oracle", goal), _search(ts, wide, "plan", goal)
+
+    # on the rung ``parse`` answers on
+    if args.goal == "strict":
+        _, _, (chart_side, plan_side) = _strict_rung(cutoffs, read, both)
+    else:
+        (chart_residue, chart_side), (plan_residue, plan_side) = both(read(cutoffs[-1]))
         if plan_residue != chart_residue:
             print(f"residue differs: plan={plan_residue} oracle={chart_residue}")
             return 1

@@ -46,6 +46,7 @@ from .rules import (
     CombinatorKind,
     ParseGoal,
     RuleConfig,
+    RuleInstance,
     binary_instances,
     blocked,
     ternary_instances,
@@ -65,16 +66,16 @@ def applicable_actions(s: Asr, cfg: RuleConfig) -> tuple[Action, ...]:
         producer = s.last_action.get(item.pos)
         if all(blocked(kind, producer, None, cfg) for kind in RAISE_KINDS):
             continue  # no raise may consume this item: build none
-        for inst in unary_instances(item.cat, cfg):
-            out.append(Action(inst.kind, (item.pos,), inst.output, s.time))
+        for kind, output in unary_instances(item.cat, cfg):
+            out.append(Action(kind, (item.pos,), output, s.time))
     for i in range(len(s.items) - 1):
         l, r = s.items[i], s.items[i + 1]
-        for inst in binary_instances(l.cat, r.cat, cfg):
-            out.append(Action(inst.kind, (l.pos, r.pos), inst.output, s.time))
+        for kind, output in binary_instances(l.cat, r.cat, cfg):
+            out.append(Action(kind, (l.pos, r.pos), output, s.time))
     for i in range(len(s.items) - 2):
         a, b, c = s.items[i], s.items[i + 1], s.items[i + 2]
-        for inst in ternary_instances(a.cat, b.cat, c.cat, cfg):
-            out.append(Action(inst.kind, (a.pos, b.pos, c.pos), inst.output, s.time))
+        for kind, output in ternary_instances(a.cat, b.cat, c.cat, cfg):
+            out.append(Action(kind, (a.pos, b.pos, c.pos), output, s.time))
     return tuple(a for a in out if not banned(a, s, cfg))
 
 
@@ -98,38 +99,30 @@ def banned(a: Action, s: Asr, cfg: RuleConfig) -> bool:
 _FOREST = -1
 
 
-def _intern(ids: dict, values: list, value) -> int:
-    found = ids.get(value)
-    if found is None:
-        found = ids[value] = len(values)
-        values.append(value)
-    return found
-
-
 class _Tables:
-    """One search's interned values and the rule work done so far.
+    """One search's interned nodes and the rule work done so far.
 
-    Categories and nodes (category id, producing combinator, height) are
-    each a dict from value to id plus the list of values by id.
+    Nodes (category, producing combinator, height) are a dict from node to
+    id plus the list of nodes by id.
     """
 
     def __init__(self, cfg: RuleConfig, limit: int):
         self.cfg = cfg
         self.limit = limit
         self.arities = (2, 3) if CombinatorKind.COORD in cfg.enabled else (2,)
-        self.cat_ids: dict[Category, int] = {}
-        self.cats: list[Category] = []
-        self.node_ids: dict[tuple, int] = {}
-        self.nodes: list[tuple[int, CombinatorKind | None, int]] = []
-        self.rules: dict[tuple[int, ...], list[tuple[CombinatorKind, int]]] = {}
+        self.node_ids: dict[tuple[Category, CombinatorKind | None, int], int] = {}
+        self.nodes: list[tuple[Category, CombinatorKind | None, int]] = []
+        self.rules: dict[tuple[Category, ...], list[RuleInstance]] = {}
         self.ways_of: dict[int, list[int | None]] = {}
         self.reduced: dict[tuple[int, ...], list[tuple[int, tuple[int | None, ...]]]] = {}
 
-    def cat(self, c: Category) -> int:
-        return _intern(self.cat_ids, self.cats, c)
-
-    def node(self, cat: int, kind: CombinatorKind | None, height: int) -> int:
-        return _intern(self.node_ids, self.nodes, (cat, kind, height))
+    def node(self, cat: Category, kind: CombinatorKind | None, height: int) -> int:
+        key = (cat, kind, height)
+        nid = self.node_ids.get(key)
+        if nid is None:
+            nid = self.node_ids[key] = len(self.nodes)
+            self.nodes.append(key)
+        return nid
 
     def ways(self, nid: int) -> list[int | None]:
         """The ways a node can enter a rule or stand as a root: as it
@@ -144,19 +137,18 @@ class _Tables:
             self.ways_of[nid] = ways
         return ways
 
-    def instances(self, cats: tuple[int, ...]) -> list[tuple[CombinatorKind, int]]:
+    def instances(self, cats: tuple[Category, ...]) -> list[RuleInstance]:
         """The rule instances over one category (its raises), a pair, or a
         triple under coordination, as (combinator, output category)."""
         insts = self.rules.get(cats)
         if insts is None:
-            inputs = [self.cats[c] for c in cats]
             if len(cats) == 1:
-                found = unary_instances(*inputs, self.cfg)
+                insts = unary_instances(*cats, self.cfg)
             elif len(cats) == 2:
-                found = binary_instances(*inputs, self.cfg)
+                insts = binary_instances(*cats, self.cfg)
             else:
-                found = ternary_instances(*inputs, self.cfg)
-            insts = self.rules[cats] = [(inst.kind, self.cat(inst.output)) for inst in found]
+                insts = ternary_instances(*cats, self.cfg)
+            self.rules[cats] = insts
         return insts
 
     def reductions(self, key: tuple[int, ...]) -> list[tuple[int, tuple[int | None, ...]]]:
@@ -209,7 +201,7 @@ def _rebase(recipe, i: int, arity: int, built):
 
 def _recipes(state, tables, target, memo):
     """The fewest items ``state`` reduces to and every recipe reaching
-    them: with a ``target`` category id, one item of that category (no
+    them: with a ``target`` category, one item of that category (no
     recipes if unreachable), without one, best-effort forests. Callers
     look ``state`` up in ``memo`` first."""
     best = len(state) if target is None else 1
@@ -245,7 +237,7 @@ def _materialize(recipe, items: tuple[AnnotatedCategory, ...], tables: _Tables):
     if nid == _FOREST:
         return built
     cat, kind, _ = tables.nodes[nid]
-    return Node(kind, tables.cats[cat], built)
+    return Node(kind, cat, built)
 
 
 def _parse(initial: Asr, cfg: RuleConfig, target: Category | None):
@@ -254,8 +246,8 @@ def _parse(initial: Asr, cfg: RuleConfig, target: Category | None):
     if initial.time != 0:
         raise ValueError("enumeration starts from a time-0 state")
     tables = _Tables(cfg, effective_max_steps(cfg, len(initial.items)))
-    state = tuple(tables.node(tables.cat(it.cat), initial.last_action.get(it.pos), 0) for it in initial.items)
-    best, recipes = _recipes(state, tables, None if target is None else tables.cat(target), {})
+    state = tuple(tables.node(it.cat, initial.last_action.get(it.pos), 0) for it in initial.items)
+    best, recipes = _recipes(state, tables, target, {})
     return best, {_materialize(r, initial.items, tables) for r in recipes}
 
 

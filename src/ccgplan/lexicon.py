@@ -155,8 +155,6 @@ def ingest_supertags(source: str, cutoff: float = 0.075) -> TaggedSentence:
             if not 0.0 <= weight <= 1.0:
                 raise SupertagError(f"token {index}: probability {weight} outside [0, 1]")
             candidates.append(Candidate(cat, weight))
-        if not candidates:
-            raise SupertagError(f"token {index}: no candidate categories")
         top = max(c.weight for c in candidates)
         kept = [c for c in candidates if c.weight >= cutoff * top]
         kept.sort(key=lambda c: -c.weight)

@@ -27,8 +27,9 @@ def _close_under_raising(trees: list[DerivationTree], cfg: RuleConfig) -> list[D
     """The trees plus every raise of them that is not blocked, each tree once."""
     closed = list(trees)
     for t in trees:
-        raises = [inst for inst in unary_instances(t.cat, cfg) if not blocked(inst.kind, t.kind, None, cfg)]
-        closed.extend(Node(inst.kind, inst.output, (t,)) for inst in raises)
+        for kind, out in unary_instances(t.cat, cfg):
+            if not blocked(kind, t.kind, None, cfg):
+                closed.append(Node(kind, out, (t,)))
     return list(dict.fromkeys(closed))
 
 
@@ -46,15 +47,14 @@ def _build_chart(ts: TaggedSentence, cfg: RuleConfig, guard: int) -> dict[tuple[
             found: list[DerivationTree] = []
             for k in range(i + 1, j):
                 for l, r in product(cells[(i, k)], cells[(k, j)]):
-                    for inst in binary_instances(l.cat, r.cat, cfg):
-                        if blocked(inst.kind, l.kind, r.kind, cfg):
-                            continue
-                        found.append(Node(inst.kind, inst.output, (l, r)))
+                    for kind, out in binary_instances(l.cat, r.cat, cfg):
+                        if not blocked(kind, l.kind, r.kind, cfg):
+                            found.append(Node(kind, out, (l, r)))
             for k in range(i + 1, j - 1):
                 for m in range(k + 1, j):
                     for a, b, c in product(cells[(i, k)], cells[(k, m)], cells[(m, j)]):
-                        for inst in ternary_instances(a.cat, b.cat, c.cat, cfg):
-                            found.append(Node(inst.kind, inst.output, (a, b, c)))
+                        for kind, out in ternary_instances(a.cat, b.cat, c.cat, cfg):
+                            found.append(Node(kind, out, (a, b, c)))
             cells[(i, j)] = _close_under_raising(found, cfg)
     return cells
 

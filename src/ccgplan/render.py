@@ -149,12 +149,9 @@ def to_dot(parse: DerivationTree | Sequence[DerivationTree]) -> str:
         nonlocal counter
         node_id = f"n{counter}"
         counter += 1
-        if isinstance(node, Leaf):
-            label = _dot_escape(print_category(node.cat))
-            if node.word is not None:
-                label = _dot_escape(node.word) + "\\n" + label
-        else:
-            label = _dot_escape(print_category(node.cat))
+        label = _dot_escape(print_category(node.cat))
+        if isinstance(node, Leaf) and node.word is not None:
+            label = _dot_escape(node.word) + "\\n" + label
         lines.append(f'  {node_id} [label="{label}"];')
         for child in node.kids:
             child_id = visit(child)

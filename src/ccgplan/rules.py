@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .categories import Atom, Category, CategoryError, Functor, bwd, fwd, parse_category, print_category
 
@@ -137,10 +137,10 @@ class ParseGoal:
         return cls("best-effort")
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(NamedTuple):
+    """A rule applying to the caller's inputs: its combinator and output."""
+
     kind: CombinatorKind
-    inputs: tuple[Category, ...]
     output: Category
 
 
@@ -157,7 +157,7 @@ def unary_instances(c: Category, cfg: RuleConfig) -> list[RuleInstance]:
         if kind not in cfg.enabled:
             continue
         for b in cfg.raise_targets:
-            out.append(RuleInstance(kind, (c,), _raise_output(kind, c, b)))
+            out.append(RuleInstance(kind, _raise_output(kind, c, b)))
     return out
 
 
@@ -183,7 +183,7 @@ def binary_instances(l: Category, r: Category, cfg: RuleConfig) -> list[RuleInst
             continue
         output = _binary_output(kind, l, r)
         if output is not None:
-            out.append(RuleInstance(kind, (l, r), output))
+            out.append(RuleInstance(kind, output))
     return out
 
 
@@ -223,7 +223,7 @@ def ternary_instances(l: Category, m: Category, r: Category, cfg: RuleConfig) ->
     if CombinatorKind.COORD not in cfg.enabled:
         return []
     output = _coord_output(l, m, r)
-    return [] if output is None else [RuleInstance(CombinatorKind.COORD, (l, m, r), output)]
+    return [] if output is None else [RuleInstance(CombinatorKind.COORD, output)]
 
 
 def _coord_output(l: Category, m: Category, r: Category) -> Category | None:

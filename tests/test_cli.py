@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -215,6 +216,63 @@ def test_compare_best_effort(lexicon_file, capsys):
     code = main(["compare", "--lexicon", lexicon_file, "--words", "The dog bit", "--goal", "best-effort"])
     assert code == 0
     assert "engines agree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("goal", ["strict", "best-effort"])
+def test_compare_parses_on_the_rung_parse_answers_on(tmp_path, capsys, goal):
+    tags = tmp_path / "tagged.txt"
+    tags.write_text(LADDER_SUPERTAGS, encoding="utf-8")
+    # the first rung has no strict parse; the last has exactly one
+    assert main(["parse", "--supertags", str(tags), "--goal", goal]) == (0 if goal == "strict" else 2)
+    assert "parses=1 " in capsys.readouterr().out
+    assert main(["compare", "--supertags", str(tags), "--goal", goal]) == 0
+    assert capsys.readouterr().out == "engines agree: 1 parses\n"
+
+
+def test_compare_lists_the_trees_only_one_engine_finds(lexicon_file, monkeypatch, capsys):
+    def plan_engine(ts, cfg, goal):
+        # the spurious trees normalization would drop, without the normal-form tree
+        return parse_all(ts, dataclasses.replace(cfg, normalize=False), goal) - parse_all(ts, cfg, goal)
+
+    monkeypatch.setattr("ccgplan.cli.parse_all", plan_engine)
+    assert main(["compare", "--lexicon", lexicon_file, "--words", "The dog bit John"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("engines disagree: plan=")
+    assert out.count("only oracle:") == 1 and "only plan engine:" in out
+
+
+def test_compare_reports_a_best_effort_residue_difference(lexicon_file, monkeypatch, capsys):
+    def plan_engine(ts, cfg, goal):
+        residue, forests = parse_all(ts, cfg, goal)
+        return residue + 1, forests
+
+    monkeypatch.setattr("ccgplan.cli.parse_all", plan_engine)
+    assert main(["compare", "--lexicon", lexicon_file, "--words", "The dog bit", "--goal", "best-effort"]) == 1
+    assert capsys.readouterr().out == "residue differs: plan=2 oracle=1\n"
+
+
+@pytest.mark.parametrize(
+    "cutoffs, message",
+    [("0.1;0.01", "error: bad cutoff list '0.1;0.01'"), ("0.1,1.5", "error: cutoffs must lie in (0, 1]"),
+     ("0", "error: cutoffs must lie in (0, 1]")],
+)
+def test_parse_rejects_a_bad_cutoff_list(tmp_path, capsys, cutoffs, message):
+    tags = tmp_path / "tagged.txt"
+    tags.write_text(LADDER_SUPERTAGS, encoding="utf-8")
+    assert main(["parse", "--supertags", str(tags), "--cutoffs", cutoffs]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_parse_lexicon_needs_words(lexicon_file, capsys):
+    assert main(["parse", "--lexicon", lexicon_file]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --lexicon needs --words"]
+
+
+def test_check_lexicon_of_comments_has_no_entries(tmp_path, capsys):
+    lex = tmp_path / "comments.txt"
+    lex.write_text("# only a comment\n\n", encoding="utf-8")
+    assert main(["check", "--lexicon", str(lex)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"{lex}: lexicon has no entries"]
 
 
 DEEP_CATEGORY = "(" * 600 + "S" + ")" * 600

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -110,6 +111,22 @@ def test_supertag_malformed_record_names_token():
 def test_supertag_bad_probability():
     with pytest.raises(SupertagError, match="token 1"):
         ingest_supertags("a|X|N:1.5")
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (" \n\n", "no sentence found"),
+        ("a|X|N:1.0 |X|N:1.0", "token 2: empty word"),
+        ("a|X|N", "token 1: malformed candidate 'N'"),
+        ("a|X|:0.5", "token 1: malformed candidate ':0.5'"),
+        ("a|X|N//:0.5", "token 1: expected a category"),
+        ("a|X|N:high", "token 1: could not convert"),
+    ],
+)
+def test_supertag_input_errors_name_their_cause(source, message):
+    with pytest.raises(SupertagError, match=re.escape(message)):
+        ingest_supertags(source)
 
 
 def test_supertag_cutoff_validated():

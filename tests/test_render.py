@@ -1,6 +1,7 @@
 import json
 import re
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -171,3 +172,20 @@ def test_dot_leaf_label_includes_word():
 def test_dot_stable_ids(demo_lexicon):
     assert to_dot(golden(demo_lexicon)) == to_dot(golden(demo_lexicon))
     assert to_dot(golden(demo_lexicon)).splitlines()[2].startswith("  n0 ")
+
+
+_LEAF = {"kind": "Leaf", "category": "NP", "pos": 1, "children": []}
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([_LEAF], "tree node must be an object"),
+        ({**_LEAF, "children": [{**_LEAF, "pos": 2}]}, "a leaf may not have children"),
+        ({"kind": "Sideways", "category": "S", "children": [_LEAF]}, "unknown node kind 'Sideways'"),
+        ({"kind": "FwdAppl", "category": "S", "children": [_LEAF]}, "FwdAppl node needs 2 children, found 1"),
+    ],
+)
+def test_tree_from_json_rejects_malformed_documents(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tree_from_json(json.dumps(obj))

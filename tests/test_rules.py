@@ -111,14 +111,14 @@ _cats = st.recursive(
 def test_binary_instances_satisfy_their_schemas(l, r):
     cfg = RuleConfig(enabled=ALL_KINDS, normalize=False)
     for inst in binary_instances(l, r, cfg):
-        assert valid_instance(inst.kind, inst.inputs, inst.output)
+        assert valid_instance(inst.kind, (l, r), inst.output)
 
 
 @given(_cats)
 def test_unary_instances_satisfy_their_schemas(c):
     cfg = RuleConfig(normalize=False)
     for inst in unary_instances(c, cfg):
-        assert valid_instance(inst.kind, inst.inputs, inst.output)
+        assert valid_instance(inst.kind, (c,), inst.output)
 
 
 @given(_cats, _cats)
