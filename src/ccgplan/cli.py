@@ -81,15 +81,13 @@ def _check_input(args) -> None:
 
 def _sentences(args):
     """The supertag cutoff ladder and a reader from a cutoff to the tagged
-    sentence; lexicon input has the single cutoff None."""
+    sentence; lexicon input has the single cutoff None, though its
+    ``--cutoffs`` must still be a valid list."""
+    cutoffs = _parse_cutoffs(args.cutoffs)
     if args.lexicon:
         return (None,), lambda _cutoff: _tagged_from_lexicon(args)
     source = _read_text(args.supertags, "supertag file")
-    return _parse_cutoffs(args.cutoffs), lambda cutoff: ingest_supertags(source, cutoff)
-
-
-def _search(ts: TaggedSentence, cfg: RuleConfig, engine: str, goal: ParseGoal):
-    return (chart_parse_all if engine == "oracle" else parse_all)(ts, cfg, goal)
+    return cutoffs, lambda cutoff: ingest_supertags(source, cutoff)
 
 
 def _strict_rung(cutoffs, read, search):
@@ -105,26 +103,17 @@ def _strict_rung(cutoffs, read, search):
 
 
 def _render_documents(parses, fmt: str) -> list[str]:
-    docs = []
-    # the sort key holds each tree's JSON document, so JSON reuses it
-    for key, entry in sorted(((_sort_key(entry), entry) for entry in parses), key=lambda keyed: keyed[0]):
-        if fmt == "ascii":
-            docs.append(to_ascii(entry))
-        elif fmt == "json":
-            if isinstance(entry, tuple):
-                # a list of the tree documents, each indented one level
-                docs.append("[\n  " + ",\n  ".join(doc.replace("\n", "\n  ") for doc in key) + "\n]")
-            else:
-                docs.append(key[0])
-        else:
-            docs.append(to_dot(entry))
-    return docs
+    """Each parse's document, in the order of their JSON documents."""
+    keyed = sorted(((_sort_key(entry), entry) for entry in parses), key=lambda pair: pair[0])
+    if fmt == "json":
+        return [key for key, _ in keyed]
+    render = to_ascii if fmt == "ascii" else to_dot
+    return [render(entry) for _, entry in keyed]
 
 
-def _sort_key(entry):
-    if isinstance(entry, tuple):
-        return tuple(to_json(t) for t in entry)
-    return (to_json(entry),)
+def _sort_key(entry) -> str:
+    """A tree's or a forest's JSON document: the order the CLI prints in."""
+    return to_json(entry)
 
 
 def _emit(docs: list[str], fmt: str, out_dir: str | None) -> list[str]:
@@ -168,18 +157,16 @@ def cmd_parse(args) -> int:
     started = time.perf_counter()
     _check_input(args)
     cfg = _build_config(args)
-    if args.engine == "oracle" and cfg.max_steps is not None:
-        raise CliError("the oracle has no plan-length bound: drop --max-steps and the max_steps key")
     cutoffs, read = _sentences(args)
     if args.goal == "best-effort":
         cutoff, ts = cutoffs[-1], read(cutoffs[-1])
     else:
         cutoff, ts, (trees,) = _strict_rung(
-            cutoffs, read, lambda ts: (_search(ts, cfg, args.engine, ParseGoal.strict()),)
+            cutoffs, read, lambda ts: (parse_all(ts, cfg, ParseGoal.strict()),)
         )
         if trees or args.goal == "strict":
             return _finish(args, started, cutoff, "strict", 1 if trees else len(ts.tokens), trees)
-    residue, forests = _search(ts, cfg, args.engine, ParseGoal.best_effort())
+    residue, forests = parse_all(ts, cfg, ParseGoal.best_effort())
     return _finish(args, started, cutoff, "best-effort", residue, forests)
 
 
@@ -222,7 +209,7 @@ def cmd_compare(args) -> int:
         # wide enough for any tree the oracle can build
         wide = cfg if cfg.max_steps is not None else dataclasses.replace(cfg, max_steps=2 * len(ts.tokens) + 1)
         # the oracle first: its length guard fails at once, the plan search may take minutes
-        return _search(ts, wide, "oracle", goal), _search(ts, wide, "plan", goal)
+        return chart_parse_all(ts, wide, goal), parse_all(ts, wide, goal)
 
     # on the rung ``parse`` answers on
     if args.goal == "strict":
@@ -259,8 +246,16 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ``CliError``, so it exits 1 like any other
+    and never 2, the code of a best-effort answer; subcommands inherit it."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ccgplan", description="CCG parsing by canonical plan search")
+    parser = _Parser(prog="ccgplan", description="CCG parsing by canonical plan search")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("parse", help="parse a sentence and render its derivations")
@@ -268,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", choices=["strict", "best-effort", "auto"], default="auto")
     p.add_argument("--format", choices=["ascii", "json", "dot"], default="ascii")
     p.add_argument("--out", help="directory for one document per parse (default: stdout)")
-    p.add_argument("--engine", choices=["plan", "oracle"], default="plan")
     p.set_defaults(func=cmd_parse)
 
     c = commands.add_parser("check", help="validate lexicon and rule-config files")
@@ -284,9 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

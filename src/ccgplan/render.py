@@ -86,13 +86,18 @@ def to_ascii(parse: DerivationTree | Sequence[DerivationTree]) -> str:
     return "\n".join("".join(row).rstrip() for row in rows)
 
 
-def to_json(t: DerivationTree) -> str:
-    """Canonical tree document; ``tree_from_json`` decodes it back.
+def to_json(parse: DerivationTree | Sequence[DerivationTree]) -> str:
+    """Canonical document of a tree, or of a forest as the list of its
+    trees' documents; ``tree_from_json`` decodes a tree's back.
 
     The bytes are those ``json.dumps`` writes with a two-space indent and
     sorted keys, strings escaped to ASCII. They are written directly, since
     an indent puts ``json.dumps`` on its pure-Python encoder."""
-    return _json_object(t, "\n")
+    if isinstance(parse, (Leaf, Node)):
+        return _json_object(parse, "\n")
+    if not parse:
+        return "[]"
+    return "[\n  " + ",\n  ".join([_json_object(t, "\n  ") for t in parse]) + "\n]"
 
 
 def _json_object(t: DerivationTree, pad: str) -> str:

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
 from ccgplan import ParseGoal, RuleConfig, load_lexicon, parse_all, tag_with_lexicon, to_json
 from ccgplan.cli import main
 from ccgplan.lexicon import MAX_TOKENS
+from ccgplan.oracle import chart_parse_all
 
 LADDER_SUPERTAGS = (
     "The|DT|NP/N:0.99 dog|NN|N:0.98 bit|VBD|N:0.9|(S\\NP)/NP:0.02 John|NNP|NP:0.99\n"
@@ -133,10 +135,30 @@ def test_parse_out_creates_no_directory_without_documents(lexicon_file, tmp_path
     assert not out_dir.exists()
 
 
-def test_parse_with_oracle_engine(lexicon_file, capsys):
-    code = main(["parse", "--lexicon", lexicon_file, "--words", "The dog bit John", "--engine", "oracle"])
-    assert code == 0
-    assert "parses=1" in capsys.readouterr().out
+def _documents(out: str) -> list[str]:
+    """The documents of ``parse`` output on stdout, in order."""
+    chunks = re.split(r"^# parse \d+ of \d+\n", out, flags=re.M)[1:]
+    return [chunk.split("\n\n")[0] for chunk in chunks]
+
+
+@pytest.mark.parametrize(
+    "words, goal",
+    [("The dog bit John", ParseGoal.strict()), ("bit John The", ParseGoal.best_effort())],
+)
+def test_parse_with_the_widest_bound_prints_the_oracles_parses(lexicon_file, demo_lexicon, capsys, words, goal):
+    # the bound compare uses: every tree the chart oracle builds is this tall at most
+    bound = 2 * len(words.split()) + 1
+    argv = ["parse", "--lexicon", lexicon_file, "--words", words, "--normalize", "off", "--max-steps", str(bound)]
+    code = main([*argv, "--goal", goal.mode, "--format", "json"])
+    cfg = RuleConfig(normalize=False, max_steps=bound)
+    expected = chart_parse_all(tag_with_lexicon(words.split(), demo_lexicon), cfg, goal)
+    if goal.mode == "best-effort":
+        assert code == 2
+        expected = expected[1]
+    else:
+        assert code == 0
+    assert len(expected) > 1
+    assert _documents(capsys.readouterr().out) == sorted(to_json(entry) for entry in expected)
 
 
 def test_parse_normalize_off_finds_more(lexicon_file, capsys):
@@ -293,14 +315,40 @@ def test_check_deeply_nested_category(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"{lex}:2: bad category")
 
 
-def test_parse_oracle_rejects_a_plan_length_bound(lexicon_file, tmp_path, capsys):
-    words = ["--lexicon", lexicon_file, "--words", "The dog bit John", "--engine", "oracle"]
-    assert main(["parse", *words, "--max-steps", "3"]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-    rules = tmp_path / "rules.cfg"
-    rules.write_text("max_steps = 3\n", encoding="utf-8")
-    assert main(["parse", *words, "--rules", str(rules)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+@pytest.mark.parametrize("command", ["parse", "compare"])
+@pytest.mark.parametrize(
+    "cutoffs, message",
+    [("abc", "error: bad cutoff list 'abc'"), ("0.1,1.5", "error: cutoffs must lie in (0, 1]")],
+)
+def test_lexicon_input_rejects_a_bad_cutoff_list(lexicon_file, capsys, command, cutoffs, message):
+    assert main([command, "--lexicon", lexicon_file, "--words", "The dog bit John", "--cutoffs", cutoffs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["parse", "--words", "x", "--format", "xml"], "error: argument --format: invalid choice: 'xml'"),
+        (["parse", "--words", "x", "--max-steps", "x"], "error: argument --max-steps: invalid int value: 'x'"),
+        (["parse", "--words", "x", "--engine", "oracle"], "error: unrecognized arguments: --engine oracle"),
+        ([], "error: the following arguments are required: command"),
+    ],
+)
+def test_a_usage_error_is_one_error_line_and_exit_1(capsys, argv, message):
+    # exit 2 means a best-effort answer
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "--help"])
+    assert exc.value.code == 0
+    assert "--engine" not in capsys.readouterr().out
 
 
 def test_parse_out_naming_a_file_is_one_error_line(lexicon_file, tmp_path, capsys):

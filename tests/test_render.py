@@ -152,10 +152,30 @@ def test_json_bytes_match_the_json_module(tree):
     assert to_json(tree) == json.dumps(_reference_obj(tree), indent=2, sort_keys=True)
 
 
-@given(st.lists(_any_trees, min_size=1, max_size=3))
+@given(st.lists(_any_trees, max_size=3))
+@example([])
 def test_forest_document_bytes_match_the_json_module(forest):
     (doc,) = _render_documents({tuple(forest)}, "json")
     assert doc == json.dumps([_reference_obj(t) for t in forest], indent=2, sort_keys=True)
+    assert to_json(tuple(forest)) == doc
+
+
+# few trees, which forests share and whose documents differ late, if at
+# all: one leaf's document runs on where another's ends, at positions 1 and 10
+_near_leaves = st.sampled_from([Leaf(w, C(c), pos) for w in (None, "a") for c in ("NP", "S") for pos in (1, 10)])
+_forests_of_equal_length = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_near_leaves | _internal(_near_leaves), min_size=n, max_size=n), max_size=6)
+)
+
+
+@given(_forests_of_equal_length)
+@example([[Leaf(None, C("NP"), 1), Leaf(None, C("S"), 1)], [Leaf(None, C("NP"), 10), Leaf(None, C("NP"), 1)]])
+def test_forests_of_equal_length_sort_by_document_as_by_their_trees_documents(forests):
+    # the CLI orders a best-effort answer, whose forests all have the
+    # residue's length, by each forest's document
+    by_document = sorted(forests, key=lambda forest: to_json(tuple(forest)))
+    by_trees = sorted(forests, key=lambda forest: tuple(to_json(t) for t in forest))
+    assert by_document == by_trees
 
 
 def test_dot_escapes_backslashes(demo_lexicon):
