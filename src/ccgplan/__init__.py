@@ -31,7 +31,6 @@ from .engine import (
 )
 from .lexicon import (
     Candidate,
-    Lexicon,
     LexiconError,
     SupertagError,
     TaggedSentence,
@@ -41,7 +40,7 @@ from .lexicon import (
     load_lexicon,
     tag_with_lexicon,
 )
-from .oracle import ChartLimitError, chart_parse_all, count_parses
+from .oracle import ChartLimitError, chart_parse_all
 from .render import to_ascii, to_dot, to_json, tree_from_json
 from .rules import (
     CombinatorKind,
@@ -71,7 +70,6 @@ __all__ = [
     "DerivationTree",
     "Functor",
     "Leaf",
-    "Lexicon",
     "LexiconError",
     "Node",
     "ParseGoal",
@@ -91,7 +89,6 @@ __all__ = [
     "canonical_plan",
     "chart_parse_all",
     "check_tree",
-    "count_parses",
     "effective_max_steps",
     "enumerate_parses",
     "fwd",

@@ -254,7 +254,7 @@ def _parse(initial: Asr, cfg: RuleConfig, target: Category | None):
 def enumerate_parses(initial: Asr, cfg: RuleConfig, goal: ParseGoal) -> set[DerivationTree]:
     """All distinct derivation trees whose canonical plan reaches the goal
     within ``max_steps``. Empty when the goal is unreachable."""
-    if goal.mode != "strict":
+    if goal.target is None:
         raise ValueError("enumerate_parses handles strict goals; use best_effort")
     return _parse(initial, cfg, goal.target)[1]
 
@@ -272,7 +272,7 @@ def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
     Leaves carry the sentence's words.
     """
     words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
-    strict = goal.mode == "strict"
+    strict = goal.target is not None
     best: int | None = None
     found: set = set()
     for asr in initial_asrs(ts):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .asr import Asr
 from .categories import Category, CategoryError, parse_category
@@ -61,19 +61,6 @@ class TaggedSentence:
             raise ValueError(f"sentence has {len(self.tokens)} tokens; at most {MAX_TOKENS} are supported")
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """Word to category-set mapping; sets keep file order, duplicates collapse."""
-
-    entries: dict[str, tuple[Category, ...]]
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def __getitem__(self, word: str) -> tuple[Category, ...]:
-        return self.entries[word]
-
-
 def parse_lexicon_line(line: str) -> tuple[str, Category] | None:
     """One entry, or None for a comment/blank line. Raises LexiconError."""
     stripped = line.strip()
@@ -91,7 +78,8 @@ def parse_lexicon_line(line: str) -> tuple[str, Category] | None:
         raise LexiconError(f"bad category: {exc}") from exc
 
 
-def load_lexicon(source: str) -> Lexicon:
+def load_lexicon(source: str) -> dict[str, tuple[Category, ...]]:
+    """Each word's categories, in file order with duplicates collapsed."""
     entries: dict[str, list[Category]] = {}
     for lineno, line in enumerate(source.splitlines(), start=1):
         try:
@@ -106,10 +94,10 @@ def load_lexicon(source: str) -> Lexicon:
             cats.append(cat)
     if not entries:
         raise LexiconError("lexicon has no entries")
-    return Lexicon({w: tuple(cs) for w, cs in entries.items()})
+    return {w: tuple(cs) for w, cs in entries.items()}
 
 
-def tag_with_lexicon(words: Sequence[str], lex: Lexicon) -> TaggedSentence:
+def tag_with_lexicon(words: Sequence[str], lex: Mapping[str, Sequence[Category]]) -> TaggedSentence:
     """Tag pre-tokenized words; every word must be in the lexicon."""
     if not words:
         raise LexiconError("no tokens to tag")

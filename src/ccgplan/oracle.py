@@ -68,7 +68,7 @@ def chart_parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal, guard:
     """
     n = len(ts.tokens)
     cells = _build_chart(ts, cfg, guard)
-    if goal.mode == "strict":
+    if goal.target is not None:
         return {t for t in cells[(0, n)] if t.cat == goal.target}
 
     best = [0] + [n + 1] * n
@@ -90,11 +90,3 @@ def chart_parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal, guard:
     for spans in segmentations(n):
         forests.update(product(*(cells[span] for span in spans)))
     return best[n], forests
-
-
-def count_parses(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal, guard: int = 10) -> int:
-    """Number of distinct parses (trees, or forests for best-effort)."""
-    result = chart_parse_all(ts, cfg, goal, guard)
-    if goal.mode == "strict":
-        return len(result)
-    return len(result[1])

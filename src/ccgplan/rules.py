@@ -106,6 +106,10 @@ class RuleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "enabled", frozenset(self.enabled))
+        if not all(isinstance(k, CombinatorKind) for k in self.enabled):
+            raise ValueError("enabled must hold only CombinatorKind members")
+        if not all(isinstance(t, (Atom, Functor)) for t in self.raise_targets):
+            raise ValueError("raise_targets must hold only categories")
         targets = []
         for t in self.raise_targets:
             if t not in targets:
@@ -116,25 +120,38 @@ class RuleConfig:
             raise ValueError("at least one combinator must be enabled")
         if self.enabled & RAISE_KINDS and not self.raise_targets:
             raise ValueError("raise_targets must be non-empty when a raise rule is enabled")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        if self.max_steps is not None:
+            if type(self.max_steps) is not int:
+                raise ValueError(f"max_steps must be an int, got {self.max_steps!r}")
+            if self.max_steps < 1:
+                raise ValueError("max_steps must be >= 1")
 
 
 @dataclass(frozen=True)
 class ParseGoal:
-    """Strict: reduce to a single ``target`` category. Best-effort: reach
-    the fewest residual categories, then enumerate all optima."""
+    """Strict: reduce to a single ``target`` category. Best-effort, a
+    ``target`` of None: reach the fewest residual categories, then
+    enumerate all optima."""
 
-    mode: Literal["strict", "best-effort"]
-    target: Category = Atom("S")
+    target: Category | None
+
+    def __post_init__(self):
+        if self.target is not None and not isinstance(self.target, (Atom, Functor)):
+            raise ValueError(f"a goal's target must be a category or None, got {self.target!r}")
+
+    @property
+    def mode(self) -> Literal["strict", "best-effort"]:
+        return "best-effort" if self.target is None else "strict"
 
     @classmethod
     def strict(cls, target: Category = Atom("S")) -> "ParseGoal":
-        return cls("strict", target)
+        if target is None:
+            raise ValueError("a strict goal needs a target category")
+        return cls(target)
 
     @classmethod
     def best_effort(cls) -> "ParseGoal":
-        return cls("best-effort")
+        return cls(None)
 
 
 class RuleInstance(NamedTuple):
@@ -252,9 +269,11 @@ def blocked(
 
     In both modes a raise never consumes a raise; without that bound raise
     towers would never end. With normalization on, a forward application
-    may not consume, on its left, something built by forward raising (N1:
-    raise-then-apply rewrites to the plain application) or by forward
-    composition (N3: compose-then-apply rewrites to apply-apply); forward
+    may not consume, on its left, something built by forward composition
+    (N3: compose-then-apply rewrites to apply-apply) or, when backward
+    application is enabled, by forward raising (N1: raise-then-apply
+    rewrites to the plain backward application; without ``<`` that
+    rewrite does not exist, and the ban would drop the reading). Forward
     composition may not consume a forward-composition result on its left
     (N2: branching normalization). Backward rules mirror these on the
     right side. The one other ban, N4 (raise only NP), limits which raises
@@ -265,9 +284,13 @@ def blocked(
     if not cfg.normalize:
         return False
     if kind is CombinatorKind.FWD_APPL:
-        return left_producer in (CombinatorKind.FWD_RAISE, CombinatorKind.FWD_COMP)
+        if left_producer is CombinatorKind.FWD_RAISE:
+            return CombinatorKind.BWD_APPL in cfg.enabled
+        return left_producer is CombinatorKind.FWD_COMP
     if kind is CombinatorKind.BWD_APPL:
-        return right_producer in (CombinatorKind.BWD_RAISE, CombinatorKind.BWD_COMP)
+        if right_producer is CombinatorKind.BWD_RAISE:
+            return CombinatorKind.FWD_APPL in cfg.enabled
+        return right_producer is CombinatorKind.BWD_COMP
     if kind is CombinatorKind.FWD_COMP:
         return left_producer is CombinatorKind.FWD_COMP
     if kind is CombinatorKind.BWD_COMP:

@@ -1,6 +1,6 @@
 import pytest
 
-from ccgplan import Lexicon, load_lexicon, parse_category
+from ccgplan import Category, load_lexicon, parse_category
 
 DEMO_LEXICON = "\n".join(
     [
@@ -18,7 +18,7 @@ def demo_lexicon_text() -> str:
 
 
 @pytest.fixture
-def demo_lexicon() -> Lexicon:
+def demo_lexicon() -> dict[str, tuple[Category, ...]]:
     return load_lexicon(DEMO_LEXICON)
 
 

@@ -21,7 +21,7 @@ from ccgplan import (
 
 def test_load_demo_lexicon(demo_lexicon_text):
     lex = load_lexicon(demo_lexicon_text)
-    assert len(lex.entries) == 4
+    assert len(lex) == 4
     assert lex["bit"] == (parse_category(r"(S\NP)/NP"),)
 
 

@@ -267,6 +267,15 @@ def reading_cases(draw):
 # banned applying a functor to a composed argument.
 ALL_RULES = RuleConfig(enabled=frozenset(CombinatorKind), raise_targets=DEFAULT_RAISE_TARGETS[:1])
 CHAIN_CASES = [(_sentence(cats), replace(ALL_RULES, max_steps=2 * len(cats) + 1)) for cats in NORMAL_FORM_SHAPES[:2]]
+# Raise-then-apply with the plain application the other way disabled: N1
+# has no rewrite there, so banning it would drop the only reading.
+RAISE_ONLY_CASES = [
+    (_sentence(cats), RuleConfig(enabled=rules, raise_targets=(parse_category("S"),), max_steps=2 * len(cats) + 1))
+    for cats, rules in (
+        (["NP", r"(S\NP)/NP", "NP"], {CombinatorKind.FWD_APPL, CombinatorKind.FWD_RAISE}),
+        (["S/NP", "NP"], {CombinatorKind.BWD_APPL, CombinatorKind.BWD_RAISE}),
+    )
+]
 
 
 def _raises_only_np(tree) -> bool:
@@ -288,6 +297,8 @@ def test_normal_form_trees_have_pairwise_distinct_readings(case):
 @EXAMPLES
 @given(reading_cases())
 @example(CHAIN_CASES[0])
+@example(RAISE_ONLY_CASES[0])
+@example(RAISE_ONLY_CASES[1])
 def test_normal_form_readings_are_those_of_the_trees_raising_only_np(case):
     """The bans drop derivations, never readings, except for the raises of
     non-``NP`` categories that clause N4 takes out of the grammar."""

@@ -1,6 +1,8 @@
 """Two ways normalization changes the strict parse set beyond removing
 spurious derivations. Both are known behaviour, pinned so that a change to
-either is deliberate; README's normalization section describes them."""
+either is deliberate; README's normalization section describes them. The
+last test pins a case where it must not: a ban whose rewrite needs a
+disabled rule."""
 
 from dataclasses import replace
 
@@ -77,3 +79,24 @@ def test_raising_only_np_drops_a_distributive_reading():
     assert distributive not in on
     assert on <= off
     assert on == chart_parse_all(ts, cfg, ParseGoal.strict())
+
+
+@pytest.mark.parametrize(
+    "cats, enabled",
+    [
+        (["NP", r"(S\NP)/NP", "NP"], {K.FWD_APPL, K.FWD_RAISE}),
+        (["S/NP", "NP"], {K.BWD_APPL, K.BWD_RAISE}),
+    ],
+)
+def test_raise_then_apply_stays_when_the_plain_application_is_disabled(cats, enabled):
+    """N1 bans applying a raised ``NP`` because the plain application the
+    other way round derives the same reading. In *John saw Mary* with only
+    ``>`` and ``>T``, raising *John* to ``S/(S\\NP)`` is the only way to
+    consume it, as is raising *Mary* to ``S\\(S/NP)`` in ``S/NP NP`` with
+    only ``<`` and ``<T``: the one parse stays with normalization on."""
+    ts = _sentence(*((f"w{i}", c) for i, c in enumerate(cats)))
+    cfg = RuleConfig(enabled=enabled, raise_targets=(C("S"),))
+    for normalize in (False, True):
+        on_or_off = replace(cfg, normalize=normalize)
+        assert len(parse_all(ts, on_or_off, ParseGoal.strict())) == 1
+        assert len(chart_parse_all(ts, on_or_off, ParseGoal.strict())) == 1

@@ -15,7 +15,6 @@ from ccgplan import (
     Token,
     chart_parse_all,
     check_tree,
-    count_parses,
     parse_all,
     parse_category,
     tag_with_lexicon,
@@ -52,9 +51,9 @@ def test_golden_sentence_has_one_normalized_parse(demo_lexicon):
 
 def test_functor_chain_counts():
     goal = ParseGoal.strict(C("A"))
-    assert count_parses(_chain(4), APP_COMP, goal) == 5
+    assert len(chart_parse_all(_chain(4), APP_COMP, goal)) == 5
     normalized = RuleConfig(enabled=APP_COMP.enabled, normalize=True)
-    assert count_parses(_chain(4), normalized, goal) == 1
+    assert len(chart_parse_all(_chain(4), normalized, goal)) == 1
 
 
 def test_single_token_strict():

@@ -6,6 +6,7 @@ from ccgplan import (
     Atom,
     CombinatorKind,
     Functor,
+    ParseGoal,
     RuleConfig,
     RuleConfigError,
     binary_instances,
@@ -141,6 +142,40 @@ def test_config_invariants():
         RuleConfig(enabled={CombinatorKind.FWD_RAISE}, raise_targets=())
     with pytest.raises(ValueError):
         RuleConfig(max_steps=0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"enabled": {"FwdAppl"}}, "CombinatorKind"),
+        ({"raise_targets": ("S",)}, "categories"),
+        ({"max_steps": 2.5}, "int"),
+        ({"max_steps": True}, "int"),
+    ],
+)
+def test_config_rejects_a_malformed_value(fields, message):
+    with pytest.raises(ValueError, match=message):
+        RuleConfig(**fields)
+
+
+def test_a_goal_is_its_target():
+    assert ParseGoal.strict() == ParseGoal(C("S"))
+    assert ParseGoal.strict(C("NP")).mode == "strict"
+    assert ParseGoal.best_effort() == ParseGoal(None)
+    assert ParseGoal.best_effort().mode == "best-effort"
+
+
+@pytest.mark.parametrize("target", [None, "S"])
+def test_a_strict_goal_needs_a_category(target):
+    with pytest.raises(ValueError, match="target"):
+        ParseGoal.strict(target)
+
+
+def test_a_mistyped_mode_is_an_error():
+    """A mode string in the target's place is an error, never a goal that
+    runs best-effort."""
+    with pytest.raises(ValueError, match="target"):
+        ParseGoal("strct")
 
 
 def test_kind_names():
