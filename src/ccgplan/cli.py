@@ -77,6 +77,8 @@ def _check_input(args) -> None:
         raise CliError("give exactly one input: --lexicon with --words, or --supertags")
     if args.lexicon and args.words is None:
         raise CliError("--lexicon needs --words")
+    if args.supertags and args.words is not None:
+        raise CliError("--words needs --lexicon")
 
 
 def _sentences(args):
@@ -277,9 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -121,23 +121,37 @@ def _tree_from_obj(obj) -> DerivationTree:
     if not isinstance(obj, dict):
         raise ValueError("tree node must be an object")
     kind_name = obj.get("kind")
-    category = parse_category(obj.get("category", ""))
-    kids = tuple(_tree_from_obj(c) for c in obj.get("children", []))
+    category, children = obj.get("category"), obj.get("children", [])
+    if not isinstance(category, str):
+        raise ValueError(f"a node's category must be a string, found {category!r}")
+    if not isinstance(children, list):
+        raise ValueError(f"a node's children must be a list, found {children!r}")
+    cat = parse_category(category)
+    kids = tuple(_tree_from_obj(c) for c in children)
     if kind_name == "Leaf":
         if kids:
             raise ValueError("a leaf may not have children")
-        return Leaf(obj.get("word"), category, int(obj["pos"]))
+        pos, word = obj.get("pos"), obj.get("word")
+        if type(pos) is not int:
+            raise ValueError(f"a leaf's pos must be an integer, found {pos!r}")
+        if "word" in obj and not isinstance(word, str):
+            raise ValueError(f"a leaf's word must be a string, found {word!r}")
+        return Leaf(word, cat, pos)
     try:
         kind = CombinatorKind(kind_name)
     except ValueError as exc:
         raise ValueError(f"unknown node kind {kind_name!r}") from exc
     if len(kids) != kind.arity:
         raise ValueError(f"{kind.value} node needs {kind.arity} children, found {len(kids)}")
-    return Node(kind, category, kids)
+    return Node(kind, cat, kids)
 
 
 def tree_from_json(text: str) -> DerivationTree:
-    return _tree_from_obj(json.loads(text))
+    """Decode a tree's ``to_json`` document; a malformed one raises ``ValueError``."""
+    try:
+        return _tree_from_obj(json.loads(text))
+    except RecursionError as exc:
+        raise ValueError("tree document nested too deeply") from exc
 
 
 def _dot_escape(text: str) -> str:

@@ -26,46 +26,32 @@ from .categories import Atom, Category, CategoryError, Functor, bwd, fwd, parse_
 
 
 class CombinatorKind(Enum):
-    FWD_APPL = "FwdAppl"
-    BWD_APPL = "BwdAppl"
-    FWD_COMP = "FwdComp"
-    BWD_COMP = "BwdComp"
-    FWD_RAISE = "FwdRaise"
-    BWD_RAISE = "BwdRaise"
-    BWD_XCOMP = "BwdXComp"
-    BWD_XSUBST = "BwdXSubst"
-    COORD = "Coord"
+    """A combinator: its JSON name (the value), rule symbol and arity."""
+
+    FWD_APPL = "FwdAppl", ">", 2
+    BWD_APPL = "BwdAppl", "<", 2
+    FWD_COMP = "FwdComp", ">B", 2
+    BWD_COMP = "BwdComp", "<B", 2
+    FWD_RAISE = "FwdRaise", ">T", 1
+    BWD_RAISE = "BwdRaise", "<T", 1
+    BWD_XCOMP = "BwdXComp", "<Bx", 2
+    BWD_XSUBST = "BwdXSubst", "<Sx", 2
+    COORD = "Coord", "&", 3
+
+    def __new__(cls, value: str, symbol: str, arity: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.symbol = symbol
+        member.arity = arity
+        return member
 
     # identity hashing, in C: ``Enum.__hash__`` is Python code, and trees
     # hash their combinators each time they enter a set
     __hash__ = object.__hash__
 
-    @property
-    def symbol(self) -> str:
-        return _SYMBOLS[self]
 
-    @property
-    def arity(self) -> int:
-        if self in RAISE_KINDS:
-            return 1
-        if self is CombinatorKind.COORD:
-            return 3
-        return 2
-
-
-_SYMBOLS = {
-    CombinatorKind.FWD_APPL: ">",
-    CombinatorKind.BWD_APPL: "<",
-    CombinatorKind.FWD_COMP: ">B",
-    CombinatorKind.BWD_COMP: "<B",
-    CombinatorKind.FWD_RAISE: ">T",
-    CombinatorKind.BWD_RAISE: "<T",
-    CombinatorKind.BWD_XCOMP: "<Bx",
-    CombinatorKind.BWD_XSUBST: "<Sx",
-    CombinatorKind.COORD: "&",
-}
-
-RAISE_KINDS = frozenset({CombinatorKind.FWD_RAISE, CombinatorKind.BWD_RAISE})
+RAISE_KINDS = frozenset(k for k in CombinatorKind if k.arity == 1)
+_BINARY_KINDS = tuple(k for k in CombinatorKind if k.arity == 2)
 
 DEFAULT_RULES = frozenset(
     {
@@ -186,16 +172,9 @@ def _raise_output(kind: CombinatorKind, c: Category, target: Category) -> Catego
 
 
 def binary_instances(l: Category, r: Category, cfg: RuleConfig) -> list[RuleInstance]:
-    """All enabled binary instances matching the pair, in fixed kind order."""
+    """All enabled binary instances matching the pair, in the order of the kinds' rows."""
     out = []
-    for kind in (
-        CombinatorKind.FWD_APPL,
-        CombinatorKind.BWD_APPL,
-        CombinatorKind.FWD_COMP,
-        CombinatorKind.BWD_COMP,
-        CombinatorKind.BWD_XCOMP,
-        CombinatorKind.BWD_XSUBST,
-    ):
+    for kind in _BINARY_KINDS:
         if kind not in cfg.enabled:
             continue
         output = _binary_output(kind, l, r)
@@ -301,13 +280,10 @@ def blocked(
 def kind_from_name(name: str) -> CombinatorKind:
     """Resolve a rule name: symbol (``>B``), value (``FwdComp``), or member name."""
     text = name.strip()
-    for kind, sym in _SYMBOLS.items():
-        if text == sym:
-            return kind
     for kind in CombinatorKind:
-        if text.lower() in (kind.value.lower(), kind.name.lower()):
+        if text == kind.symbol or text.lower() in (kind.value.lower(), kind.name.lower()):
             return kind
-    raise RuleConfigError(f"unknown rule name {name.strip()!r}")
+    raise RuleConfigError(f"unknown rule name {text!r}")
 
 
 def load_rule_config(text: str) -> RuleConfig:

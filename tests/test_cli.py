@@ -390,3 +390,22 @@ def test_parse_takes_sentences_up_to_the_token_bound(tmp_path, capsys, fmt):
     assert main(["parse", *_chain(tmp_path, "S", MAX_TOKENS + 1), "--format", fmt]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and f"at most {MAX_TOKENS}" in err[0]
+
+
+def test_main_builds_no_parser_per_call(lexicon_file, monkeypatch, capsys):
+    def fail():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr("ccgplan.cli.build_parser", fail)
+    assert main(["parse", "--lexicon", lexicon_file, "--words", "The dog bit John"]) == 0
+    assert main(["parse", "--format", "xml"]) == 1
+    assert "parses=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["parse", "compare"])
+def test_supertag_input_rejects_words(tmp_path, capsys, command):
+    tags = tmp_path / "tagged.txt"
+    tags.write_text(LADDER_SUPERTAGS, encoding="utf-8")
+    assert main([command, "--supertags", str(tags), "--words", "The dog"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["error: --words needs --lexicon"]

@@ -1,15 +1,23 @@
-"""README's library example runs as written against the demo lexicon."""
+"""README's library example runs as written against the demo lexicon, and
+its combinator table matches ``CombinatorKind`` and ``DEFAULT_RULES``."""
 
 import re
 from pathlib import Path
 
 from conftest import DEMO_LEXICON
 
+from ccgplan import CombinatorKind, parse_category
+from ccgplan.rules import DEFAULT_RULES, valid_instance
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
-    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    section = _section("Library use")
     (code,) = re.findall(r"```python\n(.*?)```", section, re.S)
     (tmp_path / "lexicon.txt").write_text(DEMO_LEXICON + "\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
@@ -17,3 +25,16 @@ def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[-2:] == ["1 parses, oracle 1", "residue 1, 1 forests"]
     assert "bit" in out[0] and "John" in out[0]
+
+
+def test_combinator_table_matches_the_kinds():
+    lines = [line for line in _section("Combinators and normalization").splitlines() if line.startswith("| `")]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")] for line in lines]
+    assert [row[0] for row in rows] == [kind.value for kind in CombinatorKind]
+    for value, symbol, arity, schema, default in rows:
+        kind = CombinatorKind(value)
+        assert (symbol, int(arity)) == (kind.symbol, kind.arity)
+        assert default == ("on" if kind in DEFAULT_RULES else "off")
+        inputs, output = schema.split(" => ")
+        cats = tuple(parse_category(c) for c in inputs.split())
+        assert valid_instance(kind, cats, parse_category(output)), schema

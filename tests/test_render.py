@@ -204,8 +204,23 @@ _LEAF = {"kind": "Leaf", "category": "NP", "pos": 1, "children": []}
         ({**_LEAF, "children": [{**_LEAF, "pos": 2}]}, "a leaf may not have children"),
         ({"kind": "Sideways", "category": "S", "children": [_LEAF]}, "unknown node kind 'Sideways'"),
         ({"kind": "FwdAppl", "category": "S", "children": [_LEAF]}, "FwdAppl node needs 2 children, found 1"),
+        ({"kind": "Leaf", "category": "NP", "children": []}, "a leaf's pos must be an integer, found None"),
+        ({**_LEAF, "pos": 1.7}, "a leaf's pos must be an integer, found 1.7"),
+        ({**_LEAF, "pos": True}, "a leaf's pos must be an integer, found True"),
+        ({**_LEAF, "children": 5}, "a node's children must be a list, found 5"),
+        ({**_LEAF, "category": 5}, "a node's category must be a string, found 5"),
+        ({"kind": "FwdAppl", "children": [_LEAF, _LEAF]}, "a node's category must be a string, found None"),
+        ({**_LEAF, "word": 5}, "a leaf's word must be a string, found 5"),
+        ({**_LEAF, "word": None}, "a leaf's word must be a string, found None"),
     ],
 )
 def test_tree_from_json_rejects_malformed_documents(obj, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         tree_from_json(json.dumps(obj))
+
+
+def test_tree_from_json_rejects_a_document_nested_too_deeply():
+    leaf = json.dumps(_LEAF)
+    deep = '{"kind": "FwdRaise", "category": "S", "children": [' * 5000 + leaf + "]}" * 5000
+    with pytest.raises(ValueError, match="nested too deeply"):
+        tree_from_json(deep)

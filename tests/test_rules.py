@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from ccgplan import (
     ternary_instances,
     unary_instances,
 )
-from ccgplan.rules import valid_instance
+from ccgplan.rules import RAISE_KINDS, valid_instance
 
 C = parse_category
 ALL_KINDS = frozenset(CombinatorKind)
@@ -178,10 +180,41 @@ def test_a_mistyped_mode_is_an_error():
         ParseGoal("strct")
 
 
+K = CombinatorKind
+ROWS = [
+    (K.FWD_APPL, "FwdAppl", ">", 2),
+    (K.BWD_APPL, "BwdAppl", "<", 2),
+    (K.FWD_COMP, "FwdComp", ">B", 2),
+    (K.BWD_COMP, "BwdComp", "<B", 2),
+    (K.FWD_RAISE, "FwdRaise", ">T", 1),
+    (K.BWD_RAISE, "BwdRaise", "<T", 1),
+    (K.BWD_XCOMP, "BwdXComp", "<Bx", 2),
+    (K.BWD_XSUBST, "BwdXSubst", "<Sx", 2),
+    (K.COORD, "Coord", "&", 3),
+]
+
+
+def test_each_kind_is_one_row():
+    assert [row[0] for row in ROWS] == list(K)
+    for kind, value, symbol, arity in ROWS:
+        assert (kind.value, kind.symbol, kind.arity) == (value, symbol, arity)
+        assert K(value) is kind
+        assert pickle.loads(pickle.dumps(kind)) is kind
+
+
+def test_raise_kinds_are_the_unary_rows():
+    assert RAISE_KINDS == {kind for kind in K if kind.arity == 1} == {K.FWD_RAISE, K.BWD_RAISE}
+
+
+def test_binary_instances_come_in_row_order():
+    out = binary_instances(C(r"S/(NP\S)"), C(r"NP\S"), RuleConfig(enabled=frozenset(K)))
+    assert [i.kind.symbol for i in out] == [">", "<Bx"]
+
+
 def test_kind_names():
-    assert kind_from_name(">B") is CombinatorKind.FWD_COMP
-    assert kind_from_name("FwdComp") is CombinatorKind.FWD_COMP
-    assert kind_from_name("fwd_comp") is CombinatorKind.FWD_COMP
+    for kind in K:
+        for name in (kind.symbol, kind.value, kind.value.upper(), kind.name, kind.name.lower(), f" {kind.symbol} "):
+            assert kind_from_name(name) is kind
     with pytest.raises(RuleConfigError):
         kind_from_name("sideways")
 
