@@ -7,7 +7,6 @@ removing spurious duplicates. A brute-force chart parser cross-checks the
 engine, and derivations render as text, JSON, or DOT.
 """
 
-from .asr import Action, AnnotatedCategory, Asr, Plan, step
 from .categories import (
     Atom,
     Category,
@@ -19,15 +18,21 @@ from .categories import (
     print_category,
 )
 from .engine import (
+    Action,
+    AnnotatedCategory,
+    Asr,
     ParseGoal,
+    Plan,
     applicable_actions,
     banned,
     best_effort,
     canonical_plan,
     effective_max_steps,
     enumerate_parses,
+    initial_asrs,
     parse_all,
     replay_plan,
+    step,
 )
 from .lexicon import (
     Candidate,
@@ -36,7 +41,6 @@ from .lexicon import (
     TaggedSentence,
     Token,
     ingest_supertags,
-    initial_asrs,
     load_lexicon,
     tag_with_lexicon,
 )

@@ -61,6 +61,10 @@ def _parse_cutoffs(text: str) -> tuple[float, ...]:
         raise CliError(f"bad cutoff list {text!r}") from exc
     if not cutoffs or any(not 0.0 < c <= 1.0 for c in cutoffs):
         raise CliError("cutoffs must lie in (0, 1]")
+    # a larger cutoff keeps a subset of a smaller one's candidates, so a
+    # rung that does not widen the last can find no new strict parse
+    if any(a <= b for a, b in zip(cutoffs, cutoffs[1:])):
+        raise CliError("cutoffs must strictly decrease")
     return cutoffs
 
 
@@ -244,7 +248,7 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--cutoffs",
         default=",".join(str(c) for c in DEFAULT_CUTOFFS),
-        help="supertag cutoff ladder, tried in order until a strict parse appears",
+        help="supertag cutoff ladder, strictly decreasing, tried in order until a strict parse appears",
     )
 
 

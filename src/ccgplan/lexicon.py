@@ -1,4 +1,4 @@
-"""Lexicon and supertag ingestion; initial planning states.
+"""Lexicon and supertag ingestion.
 
 Lexicon files are UTF-8 text with one ``word<TAB>category`` entry per
 line; ``#`` lines are comments and blank lines are ignored. Supertag input
@@ -8,11 +8,9 @@ is one sentence per line, tokens separated by single spaces, each token
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .asr import Asr
 from .categories import Category, CategoryError, parse_category
 
 
@@ -113,7 +111,8 @@ def ingest_supertags(source: str, cutoff: float = 0.075) -> TaggedSentence:
     """Read one supertagged sentence, pruning candidates by relative weight.
 
     Per token, candidates whose weight is at least ``cutoff`` times the
-    token's maximum weight survive, in descending-weight order.
+    token's maximum weight survive, in descending-weight order; a category
+    listed more than once keeps only its highest weight.
     """
     if not 0.0 < cutoff <= 1.0:
         raise ValueError(f"cutoff must be in (0, 1], got {cutoff}")
@@ -144,17 +143,9 @@ def ingest_supertags(source: str, cutoff: float = 0.075) -> TaggedSentence:
                 raise SupertagError(f"token {index}: probability {weight} outside [0, 1]")
             candidates.append(Candidate(cat, weight))
         top = max(c.weight for c in candidates)
-        kept = [c for c in candidates if c.weight >= cutoff * top]
-        kept.sort(key=lambda c: -c.weight)
-        tokens.append(Token(word, tuple(kept), pos_tag))
+        kept: dict[Category, Candidate] = {}
+        for c in sorted(candidates, key=lambda c: -c.weight):
+            if c.weight >= cutoff * top:
+                kept.setdefault(c.cat, c)
+        tokens.append(Token(word, tuple(kept.values()), pos_tag))
     return TaggedSentence(tuple(tokens))
-
-
-def initial_asrs(ts: TaggedSentence) -> Iterator[Asr]:
-    """All candidate combinations as initial states, highest weights first.
-
-    Yields one state per element of the Cartesian product of candidate
-    lists, position ids 1..n, ordered lexicographically by candidate index.
-    """
-    for combo in itertools.product(*(t.candidates for t in ts.tokens)):
-        yield Asr.initial(c.cat for c in combo)

@@ -290,9 +290,11 @@ def load_rule_config(text: str) -> RuleConfig:
     """Parse a ``key = value`` configuration; a missing key keeps its default.
 
     Keys: rules (comma list of kind names), raise_targets (comma list of
-    category expressions), normalize (on/off), max_steps (integer).
+    category expressions), normalize (on/off), max_steps (integer). A key
+    may appear at most once.
     """
     fields: dict[str, object] = {}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -303,6 +305,9 @@ def load_rule_config(text: str) -> RuleConfig:
         key = key.strip()
         value = value.strip()
         try:
+            if key in seen:
+                raise RuleConfigError(f"repeated key {key!r}")
+            seen.add(key)
             if key == "rules":
                 fields["enabled"] = frozenset(kind_from_name(n) for n in value.split(","))
             elif key == "raise_targets":

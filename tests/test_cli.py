@@ -213,6 +213,13 @@ def test_check_unknown_rule_name(tmp_path, capsys):
     assert "sideways" in capsys.readouterr().out
 
 
+def test_check_repeated_rule_key(tmp_path, capsys):
+    rules = tmp_path / "rules.cfg"
+    rules.write_text("max_steps = 3\nmax_steps = 4\n", encoding="utf-8")
+    assert main(["check", "--rules", str(rules)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"{rules}: line 2: repeated key 'max_steps'"]
+
+
 def test_check_requires_a_target():
     assert main(["check"]) == 1
 
@@ -276,7 +283,8 @@ def test_compare_reports_a_best_effort_residue_difference(lexicon_file, monkeypa
 @pytest.mark.parametrize(
     "cutoffs, message",
     [("0.1;0.01", "error: bad cutoff list '0.1;0.01'"), ("0.1,1.5", "error: cutoffs must lie in (0, 1]"),
-     ("0", "error: cutoffs must lie in (0, 1]")],
+     ("0", "error: cutoffs must lie in (0, 1]"), ("0.01,0.5", "error: cutoffs must strictly decrease"),
+     ("0.03,0.03", "error: cutoffs must strictly decrease")],
 )
 def test_parse_rejects_a_bad_cutoff_list(tmp_path, capsys, cutoffs, message):
     tags = tmp_path / "tagged.txt"
@@ -318,7 +326,8 @@ def test_check_deeply_nested_category(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["parse", "compare"])
 @pytest.mark.parametrize(
     "cutoffs, message",
-    [("abc", "error: bad cutoff list 'abc'"), ("0.1,1.5", "error: cutoffs must lie in (0, 1]")],
+    [("abc", "error: bad cutoff list 'abc'"), ("0.1,1.5", "error: cutoffs must lie in (0, 1]"),
+     ("0.01,0.5", "error: cutoffs must strictly decrease"), ("0.03,0.03", "error: cutoffs must strictly decrease")],
 )
 def test_lexicon_input_rejects_a_bad_cutoff_list(lexicon_file, capsys, command, cutoffs, message):
     assert main([command, "--lexicon", lexicon_file, "--words", "The dog bit John", "--cutoffs", cutoffs]) == 1

@@ -93,6 +93,14 @@ def test_supertag_candidates_sorted_descending():
     assert [c.weight for c in ts.tokens[0].candidates] == [0.8, 0.4, 0.1]
 
 
+def test_supertag_repeated_category_keeps_its_highest_weight():
+    ts = ingest_supertags("The|DT|NP/N:0.5|N:0.7|NP/N:0.9", cutoff=0.01)
+    assert [(c.cat, c.weight) for c in ts.tokens[0].candidates] == [
+        (parse_category("NP/N"), 0.9),
+        (parse_category("N"), 0.7),
+    ]
+
+
 def test_supertag_pos_carried_through():
     ts = ingest_supertags("John|NNP|NP:0.9")
     assert ts.tokens[0].pos_tag == "NNP"

@@ -253,3 +253,8 @@ def test_load_rule_config_partial_keeps_defaults():
 def test_load_rule_config_errors(text):
     with pytest.raises(RuleConfigError, match="line 1"):
         load_rule_config(text)
+
+
+def test_load_rule_config_rejects_a_repeated_key():
+    with pytest.raises(RuleConfigError, match="line 2: repeated key 'max_steps'"):
+        load_rule_config("max_steps = 3\nmax_steps = 4\n")
