@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import re
 import sys
 import time
@@ -11,6 +12,7 @@ from pathlib import Path
 
 from .engine import ParseGoal, parse_all
 from .lexicon import (
+    DEFAULT_CUTOFFS,
     LexiconError,
     TaggedSentence,
     ingest_supertags,
@@ -22,10 +24,9 @@ from .oracle import chart_parse_all
 from .render import to_ascii, to_dot, to_json
 from .rules import RuleConfig, RuleConfigError, load_rule_config
 
-DEFAULT_CUTOFFS = (0.075, 0.03, 0.01)
-
+# each output format and the extension of its documents under ``--out``
 _EXT = {"ascii": "txt", "json": "json", "dot": "dot"}
-_DOCUMENT_NAME = re.compile(r"parse_\d{4,}\.(txt|json|dot)")
+_DOCUMENT_NAME = re.compile(r"parse_\d{4,}\.(" + "|".join(_EXT.values()) + ")")
 
 
 class CliError(Exception):
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("parse", help="parse a sentence and render its derivations")
     _add_input_flags(p)
     p.add_argument("--goal", choices=["strict", "best-effort", "auto"], default="auto")
-    p.add_argument("--format", choices=["ascii", "json", "dot"], default="ascii")
+    p.add_argument("--format", choices=list(_EXT), default="ascii")
     p.add_argument("--out", help="directory for one document per parse (default: stdout)")
     p.set_defaults(func=cmd_parse)
 
@@ -289,7 +290,17 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout must fail here, not in the interpreter's exit flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): send what is still buffered
+        # to devnull, so the exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

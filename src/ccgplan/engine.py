@@ -357,12 +357,12 @@ def _materialize(recipe, items: tuple[AnnotatedCategory, ...], tables: _Tables):
 
 
 def _parse(initial: Asr, cfg: RuleConfig, target: Category | None):
-    """One search from a time-0 state: the fewest items reached, and the
+    """One search from an initial state: the fewest items reached, and the
     trees rooted at ``target`` or, without one, the best-effort forests."""
-    if initial.time != 0:
-        raise ValueError("enumeration starts from a time-0 state")
+    if initial.time != 0 or initial.last_affected or initial.last_action:
+        raise ValueError("enumeration starts from an initial state")
     tables = _Tables(cfg, effective_max_steps(cfg, len(initial.items)))
-    state = tuple(tables.node(it.cat, initial.last_action.get(it.pos), 0) for it in initial.items)
+    state = tuple(tables.node(it.cat, None, 0) for it in initial.items)
     best, recipes = _recipes(state, tables, target, {})
     return best, {_materialize(r, initial.items, tables) for r in recipes}
 

@@ -107,7 +107,12 @@ def tag_with_lexicon(words: Sequence[str], lex: Mapping[str, Sequence[Category]]
     return TaggedSentence(tuple(tokens))
 
 
-def ingest_supertags(source: str, cutoff: float = 0.075) -> TaggedSentence:
+# The CLI's default supertag cutoff ladder, tried rung by rung until a
+# strict parse appears; its first rung is ``ingest_supertags``'s default.
+DEFAULT_CUTOFFS = (0.075, 0.03, 0.01)
+
+
+def ingest_supertags(source: str, cutoff: float = DEFAULT_CUTOFFS[0]) -> TaggedSentence:
     """Read one supertagged sentence, pruning candidates by relative weight.
 
     Per token, candidates whose weight is at least ``cutoff`` times the

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 
 from .lexicon import TaggedSentence
-from .rules import ParseGoal, RuleConfig, binary_instances, blocked, ternary_instances, unary_instances
+from .rules import CombinatorKind, ParseGoal, RuleConfig, binary_instances, blocked, ternary_instances, unary_instances
 from .trees import DerivationTree, Leaf, Node
 
 
@@ -37,6 +37,7 @@ def _build_chart(ts: TaggedSentence, cfg: RuleConfig, guard: int) -> dict[tuple[
     n = len(ts.tokens)
     if n > guard:
         raise ChartLimitError(f"sentence length {n} exceeds the oracle guard of {guard}")
+    coordinate = CombinatorKind.COORD in cfg.enabled
     cells: dict[tuple[int, int], list[DerivationTree]] = {}
     for i, tok in enumerate(ts.tokens):
         base = [Leaf(tok.word, cand.cat, i + 1) for cand in tok.candidates]
@@ -50,11 +51,12 @@ def _build_chart(ts: TaggedSentence, cfg: RuleConfig, guard: int) -> dict[tuple[
                     for kind, out in binary_instances(l.cat, r.cat, cfg):
                         if not blocked(kind, l.kind, r.kind, cfg):
                             found.append(Node(kind, out, (l, r)))
-            for k in range(i + 1, j - 1):
-                for m in range(k + 1, j):
-                    for a, b, c in product(cells[(i, k)], cells[(k, m)], cells[(m, j)]):
-                        for kind, out in ternary_instances(a.cat, b.cat, c.cat, cfg):
-                            found.append(Node(kind, out, (a, b, c)))
+            if coordinate:  # else no triple reduces
+                for k in range(i + 1, j - 1):
+                    for m in range(k + 1, j):
+                        for a, b, c in product(cells[(i, k)], cells[(k, m)], cells[(m, j)]):
+                            for kind, out in ternary_instances(a.cat, b.cat, c.cat, cfg):
+                                found.append(Node(kind, out, (a, b, c)))
             cells[(i, j)] = _close_under_raising(found, cfg)
     return cells
 

@@ -26,23 +26,25 @@ from .categories import Atom, Category, CategoryError, Functor, bwd, fwd, parse_
 
 
 class CombinatorKind(Enum):
-    """A combinator: its JSON name (the value), rule symbol and arity."""
+    """A combinator: its JSON name (the value), rule symbol, arity, and
+    whether it runs by default."""
 
-    FWD_APPL = "FwdAppl", ">", 2
-    BWD_APPL = "BwdAppl", "<", 2
-    FWD_COMP = "FwdComp", ">B", 2
-    BWD_COMP = "BwdComp", "<B", 2
-    FWD_RAISE = "FwdRaise", ">T", 1
-    BWD_RAISE = "BwdRaise", "<T", 1
-    BWD_XCOMP = "BwdXComp", "<Bx", 2
-    BWD_XSUBST = "BwdXSubst", "<Sx", 2
-    COORD = "Coord", "&", 3
+    FWD_APPL = "FwdAppl", ">", 2, True
+    BWD_APPL = "BwdAppl", "<", 2, True
+    FWD_COMP = "FwdComp", ">B", 2, True
+    BWD_COMP = "BwdComp", "<B", 2, True
+    FWD_RAISE = "FwdRaise", ">T", 1, True
+    BWD_RAISE = "BwdRaise", "<T", 1, True
+    BWD_XCOMP = "BwdXComp", "<Bx", 2, False
+    BWD_XSUBST = "BwdXSubst", "<Sx", 2, False
+    COORD = "Coord", "&", 3, False
 
-    def __new__(cls, value: str, symbol: str, arity: int):
+    def __new__(cls, value: str, symbol: str, arity: int, on_by_default: bool):
         member = object.__new__(cls)
         member._value_ = value
         member.symbol = symbol
         member.arity = arity
+        member.on_by_default = on_by_default
         return member
 
     # identity hashing, in C: ``Enum.__hash__`` is Python code, and trees
@@ -52,17 +54,7 @@ class CombinatorKind(Enum):
 
 RAISE_KINDS = frozenset(k for k in CombinatorKind if k.arity == 1)
 _BINARY_KINDS = tuple(k for k in CombinatorKind if k.arity == 2)
-
-DEFAULT_RULES = frozenset(
-    {
-        CombinatorKind.FWD_APPL,
-        CombinatorKind.BWD_APPL,
-        CombinatorKind.FWD_COMP,
-        CombinatorKind.BWD_COMP,
-        CombinatorKind.FWD_RAISE,
-        CombinatorKind.BWD_RAISE,
-    }
-)
+DEFAULT_RULES = frozenset(k for k in CombinatorKind if k.on_by_default)
 
 DEFAULT_RAISE_TARGETS = (
     parse_category("S"),

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ccgplan import ParseGoal, RuleConfig, load_lexicon, parse_all, tag_with_lexicon, to_json
-from ccgplan.cli import main
+from ccgplan.cli import _EXT, main
 from ccgplan.lexicon import MAX_TOKENS
 from ccgplan.oracle import chart_parse_all
 
@@ -113,16 +117,19 @@ def test_parse_writes_documents(lexicon_file, tmp_path, capsys):
     assert str(files[0]) in capsys.readouterr().out
 
 
-def test_parse_out_removes_the_documents_of_an_earlier_run(lexicon_file, tmp_path, capsys):
+@pytest.mark.parametrize("fmt", list(_EXT))
+def test_parse_out_removes_the_documents_of_an_earlier_run(lexicon_file, tmp_path, capsys, fmt):
+    formats = list(_EXT)
+    later = formats[(formats.index(fmt) + 1) % len(formats)]
     out_dir = tmp_path / "parses"
     out_dir.mkdir()
     (out_dir / "notes.txt").write_text("kept\n", encoding="utf-8")
     (out_dir / "parse_12.txt").write_text("kept\n", encoding="utf-8")
     parse = ["parse", "--lexicon", lexicon_file, "--out", str(out_dir)]
-    assert main(parse + ["--words", "The dog bit John", "--normalize", "off", "--max-steps", "5"]) == 0
-    assert len(list(out_dir.glob("parse_????.txt"))) == 13
-    assert main(parse + ["--words", "The dog bit John", "--format", "json"]) == 0
-    assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt", "parse_0001.json", "parse_12.txt"]
+    assert main(parse + ["--words", "The dog bit John", "--normalize", "off", "--max-steps", "5", "--format", fmt]) == 0
+    assert len(list(out_dir.glob(f"parse_????.{_EXT[fmt]}"))) == 13
+    assert main(parse + ["--words", "The dog bit John", "--format", later]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt", f"parse_0001.{_EXT[later]}", "parse_12.txt"]
     assert main(parse + ["--words", "The dog bit", "--goal", "strict"]) == 2
     assert sorted(p.name for p in out_dir.iterdir()) == ["notes.txt", "parse_12.txt"]
     assert "parses=0" in capsys.readouterr().out.splitlines()[-1]
@@ -418,3 +425,30 @@ def test_supertag_input_rejects_words(tmp_path, capsys, command):
     assert main([command, "--supertags", str(tags), "--words", "The dog"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == ["error: --words needs --lexicon"]
+
+
+PP_LEXICON = "\n".join(
+    ["The\tNP/N", "the\tNP/N", "dog\tN", "man\tN", "telescope\tN", "saw\t(S\\NP)/NP"]
+    + ["with\t(NP\\NP)/NP", "with\t((S\\NP)\\(S\\NP))/NP"]
+)
+
+
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path):
+    lexicon = tmp_path / "pp.txt"
+    lexicon.write_text(PP_LEXICON + "\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["parse", "--lexicon", str(lexicon), "--words", "The dog saw the man with the telescope", "--normalize", "off"]
+    # 524 parses, some 400 KB: far more than a pipe holds, so the process
+    # is still writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ccgplan.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert first == b"# parse 1 of 524\n"
+    assert (proc.returncode, err) == (1, b"")

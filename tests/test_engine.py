@@ -286,6 +286,14 @@ def test_enumerate_rejects_started_state():
         enumerate_parses(started, RuleConfig(), ParseGoal.strict())
 
 
+def test_enumerate_rejects_an_initial_time_state_with_bookkeeping():
+    started = Asr(demo_asr().items, time=0, last_affected={1: 1}, last_action={1: K.FWD_RAISE})
+    with pytest.raises(ValueError, match="initial state"):
+        enumerate_parses(started, RuleConfig(), ParseGoal.strict())
+    with pytest.raises(ValueError, match="initial state"):
+        best_effort(started, RuleConfig())
+
+
 def test_all_enumerated_trees_are_sound():
     trees = enumerate_parses(demo_asr(), RuleConfig(normalize=False, max_steps=5), ParseGoal.strict())
     assert all(check_tree(t) for t in trees)

@@ -17,6 +17,7 @@ from ccgplan import (
     parse_category,
     tag_with_lexicon,
 )
+from ccgplan.lexicon import DEFAULT_CUTOFFS
 
 
 def test_load_demo_lexicon(demo_lexicon_text):
@@ -99,6 +100,13 @@ def test_supertag_repeated_category_keeps_its_highest_weight():
         (parse_category("NP/N"), 0.9),
         (parse_category("N"), 0.7),
     ]
+
+
+def test_supertag_default_cutoff_is_the_ladders_first_rung():
+    line = "John|NNP|NP:0.9|N:0.05"
+    assert 0.05 < DEFAULT_CUTOFFS[0] * 0.9  # the default prunes N
+    assert ingest_supertags(line) == ingest_supertags(line, DEFAULT_CUTOFFS[0])
+    assert [c.cat for c in ingest_supertags(line).tokens[0].candidates] == [parse_category("NP")]
 
 
 def test_supertag_pos_carried_through():

@@ -107,3 +107,20 @@ def test_oracle_imports_nothing_from_the_plan_engine():
             imported.update(alias.name for alias in node.names)
     assert imported.isdisjoint({".engine", "ccgplan.engine"})
     assert ".rules" in imported
+
+
+def test_oracle_tries_no_triple_without_coordination(monkeypatch):
+    calls = []
+    real = ccgplan.oracle.ternary_instances
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ccgplan.oracle, "ternary_instances", counted)
+    ts = _plain_sentence(["NP", "conj", "NP", r"S\NP"])
+    assert chart_parse_all(ts, RuleConfig(), ParseGoal.strict()) == set()
+    assert calls == []
+    with_coord = RuleConfig(enabled=RuleConfig().enabled | {K.COORD})
+    assert chart_parse_all(ts, with_coord, ParseGoal.strict())
+    assert calls

@@ -1,5 +1,6 @@
 """README's library example runs as written against the demo lexicon, and
-its combinator table matches ``CombinatorKind`` and ``DEFAULT_RULES``."""
+its combinator table matches ``CombinatorKind``, its rows' defaults and
+``DEFAULT_RULES``."""
 
 import re
 from pathlib import Path
@@ -34,6 +35,7 @@ def test_combinator_table_matches_the_kinds():
     for value, symbol, arity, schema, default in rows:
         kind = CombinatorKind(value)
         assert (symbol, int(arity)) == (kind.symbol, kind.arity)
+        assert default == ("on" if kind.on_by_default else "off")
         assert default == ("on" if kind in DEFAULT_RULES else "off")
         inputs, output = schema.split(" => ")
         cats = tuple(parse_category(c) for c in inputs.split())
