@@ -31,16 +31,20 @@ Strict and best-effort parsing differ only in their goal, so one
 memoized search serves both. It maps a state to the fewest items it
 reduces to and every packed sub-derivation reaching them: with a target
 category, one item of that category; without one, any residue, each
-item as it stands or raised. Each search interns its nodes, the
-(category, producing combinator, height) of an item, to ints, and a
-state is the tuple of its items' node ids. Reductions reaching the same
-state share its memo entry, so commutative action orders are explored
-once. What an adjacent pair of nodes (or triple, under coordination) can
-reduce to depends on those nodes alone, so it is computed once per search
-and reused in every state where they are adjacent; the rule instances of
-a category pair and the raises of a category are computed once too. The
-trees found are exactly those denoted by admissible canonical plans;
-``canonical_plan`` rebuilds the concurrent plan for any of them.
+item as it stands or raised. Nodes, the (category, producing
+combinator, height) of an item, are interned to ints, and a state is the
+tuple of its items' node ids. Reductions reaching the same state share
+its memo entry, so commutative action orders are explored once; the memo
+depends on the target and belongs to one search. What an adjacent pair
+of nodes (or triple, under coordination) can reduce to depends on those
+nodes, the rule configuration and the height bound alone, so it is
+computed once and reused in every state where they are adjacent; the
+rule instances of a category pair and the raises of a category are
+computed once too. A sentence's candidate combinations all have its
+length, so ``parse_all`` builds these tables once and its searches, one
+per combination, share them. The trees found are exactly those denoted
+by admissible canonical plans; ``canonical_plan`` rebuilds the concurrent
+plan for any of them.
 """
 
 from __future__ import annotations
@@ -216,10 +220,15 @@ _FOREST = -1
 
 
 class _Tables:
-    """One search's interned nodes and the rule work done so far.
+    """Interned nodes and the rule work done so far, for one rule
+    configuration and height bound.
 
     Nodes (category, producing combinator, height) are a dict from node to
-    id plus the list of nodes by id.
+    id plus the list of nodes by id. No entry depends on a search's start
+    state or target, so every search over sentences of one length may
+    share a table set: ``parse_all`` builds one per call, computing each
+    rule instance, raise and pair reduction once for all of its
+    combinations.
     """
 
     def __init__(self, cfg: RuleConfig, limit: int):
@@ -356,28 +365,35 @@ def _materialize(recipe, items: tuple[AnnotatedCategory, ...], tables: _Tables):
     return Node(kind, cat, built)
 
 
-def _parse(initial: Asr, cfg: RuleConfig, target: Category | None):
+def _parse(initial: Asr, cfg: RuleConfig, target: Category | None, tables: _Tables | None):
     """One search from an initial state: the fewest items reached, and the
-    trees rooted at ``target`` or, without one, the best-effort forests."""
+    trees rooted at ``target`` or, without one, the best-effort forests.
+    ``tables`` must have been built for ``cfg`` and this sentence length;
+    None builds a fresh set."""
     if initial.time != 0 or initial.last_affected or initial.last_action:
         raise ValueError("enumeration starts from an initial state")
-    tables = _Tables(cfg, effective_max_steps(cfg, len(initial.items)))
+    if tables is None:
+        tables = _Tables(cfg, effective_max_steps(cfg, len(initial.items)))
     state = tuple(tables.node(it.cat, None, 0) for it in initial.items)
     best, recipes = _recipes(state, tables, target, {})
     return best, {_materialize(r, initial.items, tables) for r in recipes}
 
 
-def enumerate_parses(initial: Asr, cfg: RuleConfig, goal: ParseGoal) -> set[DerivationTree]:
+def enumerate_parses(
+    initial: Asr, cfg: RuleConfig, goal: ParseGoal, *, tables: _Tables | None = None
+) -> set[DerivationTree]:
     """All distinct derivation trees whose canonical plan reaches the goal
     within ``max_steps``. Empty when the goal is unreachable."""
     if goal.target is None:
         raise ValueError("enumerate_parses handles strict goals; use best_effort")
-    return _parse(initial, cfg, goal.target)[1]
+    return _parse(initial, cfg, goal.target, tables)[1]
 
 
-def best_effort(initial: Asr, cfg: RuleConfig) -> tuple[int, set[tuple[DerivationTree, ...]]]:
+def best_effort(
+    initial: Asr, cfg: RuleConfig, *, tables: _Tables | None = None
+) -> tuple[int, set[tuple[DerivationTree, ...]]]:
     """Minimal reachable residue length and every forest achieving it."""
-    return _parse(initial, cfg, None)
+    return _parse(initial, cfg, None, tables)
 
 
 def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
@@ -389,11 +405,15 @@ def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
     """
     words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
     strict = goal.target is not None
+    tables = _Tables(cfg, effective_max_steps(cfg, len(ts.tokens)))
     best: int | None = None
     found: set = set()
     for asr in initial_asrs(ts):
         # a strict search's trees count as residue-1 results of its combination
-        residue, results = (1, enumerate_parses(asr, cfg, goal)) if strict else best_effort(asr, cfg)
+        if strict:
+            residue, results = 1, enumerate_parses(asr, cfg, goal, tables=tables)
+        else:
+            residue, results = best_effort(asr, cfg, tables=tables)
         if best is None or residue < best:
             best, found = residue, set()
         if residue == best:

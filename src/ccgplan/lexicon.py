@@ -2,7 +2,7 @@
 
 Lexicon files are UTF-8 text with one ``word<TAB>category`` entry per
 line; ``#`` lines are comments and blank lines are ignored. Supertag input
-is one sentence per line, tokens separated by single spaces, each token
+is one sentence per line, tokens separated by whitespace, each token
 ``word|POS|cat:prob(|cat:prob)*``.
 """
 
@@ -127,7 +127,7 @@ def ingest_supertags(source: str, cutoff: float = DEFAULT_CUTOFFS[0]) -> TaggedS
     if len(lines) > 1:
         raise SupertagError(f"expected one sentence, found {len(lines)} lines")
     tokens = []
-    for index, field in enumerate(lines[0].strip().split(" "), start=1):
+    for index, field in enumerate(lines[0].split(), start=1):
         parts = field.split("|")
         if len(parts) < 3:
             raise SupertagError(f"token {index}: expected 'word|POS|cat:prob...'")

@@ -327,6 +327,32 @@ def test_each_category_pair_is_combined_once_per_search(monkeypatch, length, nor
     assert len(trees) == count
 
 
+@pytest.mark.parametrize(
+    "length, cfg, goal, combos",
+    [
+        (14, RuleConfig(), ParseGoal.strict(), 8),
+        (14, RuleConfig(normalize=False, max_steps=5), ParseGoal.strict(), 8),
+        (10, RuleConfig(), ParseGoal.best_effort(), 4),
+    ],
+)
+def test_each_category_pair_is_combined_once_per_parse_all(monkeypatch, length, cfg, goal, combos):
+    calls = []
+    original = ccgplan.engine.binary_instances
+
+    def recording(l, r, cfg):
+        calls.append((l, r))
+        return original(l, r, cfg)
+
+    monkeypatch.setattr(ccgplan.engine, "binary_instances", recording)
+    ts = tag_with_lexicon(PP_WORDS[:length], load_lexicon(PP_LEXICON))
+    assert len(list(initial_asrs(ts))) == combos
+    found = parse_all(ts, cfg, goal)
+    repeated = [pair for pair, times in Counter(calls).items() if times > 1]
+    assert calls
+    assert not repeated, f"{len(repeated)} category pairs combined more than once"
+    assert found if goal.target is not None else found[1]
+
+
 # best effort
 
 

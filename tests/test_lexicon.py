@@ -124,6 +124,17 @@ def test_supertag_malformed_record_names_token():
         ingest_supertags("a|X|N:1.0 b|X")
 
 
+@pytest.mark.parametrize("gap", ["  ", "\t", " \t "])
+def test_supertag_tokens_are_separated_by_any_whitespace(gap):
+    ts = ingest_supertags(f"John|NNP|NP:0.9{gap}sleeps|VBZ|S\\NP:0.8")
+    assert [(t.word, t.pos_tag, [c.cat for c in t.candidates]) for t in ts.tokens] == [
+        ("John", "NNP", [parse_category("NP")]),
+        ("sleeps", "VBZ", [parse_category(r"S\NP")]),
+    ]
+    with pytest.raises(SupertagError, match="token 3"):
+        ingest_supertags(f"John|NNP|NP:0.9{gap}sleeps|VBZ|S\\NP:0.8{gap}now|RB")
+
+
 def test_supertag_bad_probability():
     with pytest.raises(SupertagError, match="token 1"):
         ingest_supertags("a|X|N:1.5")

@@ -26,10 +26,13 @@ from ccgplan import (
     RuleConfig,
     TaggedSentence,
     Token,
+    attach_words,
+    best_effort,
     canonical_plan,
     check_tree,
     enumerate_parses,
     ingest_supertags,
+    initial_asrs,
     leaves,
     parse_all,
     parse_category,
@@ -168,6 +171,24 @@ def test_strict_parses_are_the_residue_one_trees_rooted_at_the_target(case):
     residue, forests = parse_all(ts, cfg, ParseGoal.best_effort())
     rooted = {forest[0] for forest in forests if residue == 1 and forest[0].cat == STRICT.target}
     assert trees == rooted
+
+
+@EXAMPLES
+@given(cases() | shaped_cases())
+def test_parse_all_is_the_union_of_one_fresh_search_per_combination(case):
+    """``parse_all``'s searches share one table set; they find what
+    searches with a table set each find."""
+    ts, cfg = case
+    words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
+    trees = set()
+    fallbacks = []
+    for asr in initial_asrs(ts):
+        trees |= {attach_words(t, words) for t in enumerate_parses(asr, cfg, STRICT)}
+        residue, forests = best_effort(asr, cfg)
+        fallbacks.append((residue, {tuple(attach_words(t, words) for t in forest) for forest in forests}))
+    best = min(residue for residue, _ in fallbacks)
+    assert parse_all(ts, cfg, STRICT) == trees
+    assert parse_all(ts, cfg, ParseGoal.best_effort()) == (best, set().union(*(f for r, f in fallbacks if r == best)))
 
 
 weights = st.floats(0.001, 1.0)
