@@ -7,6 +7,8 @@ removing spurious duplicates. A brute-force chart parser cross-checks the
 engine, and derivations render as text, JSON, or DOT.
 """
 
+from types import ModuleType as _ModuleType
+
 from .categories import (
     Atom,
     Category,
@@ -29,7 +31,6 @@ from .engine import (
     canonical_plan,
     effective_max_steps,
     enumerate_parses,
-    initial_asrs,
     parse_all,
     replay_plan,
     step,
@@ -61,57 +62,7 @@ from .trees import DerivationTree, Leaf, Node, attach_words, check_tree, leaves
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "AnnotatedCategory",
-    "Asr",
-    "Atom",
-    "Candidate",
-    "Category",
-    "CategoryError",
-    "ChartLimitError",
-    "CombinatorKind",
-    "DerivationTree",
-    "Functor",
-    "Leaf",
-    "LexiconError",
-    "Node",
-    "ParseGoal",
-    "Plan",
-    "RuleConfig",
-    "RuleConfigError",
-    "RuleInstance",
-    "SupertagError",
-    "TaggedSentence",
-    "Token",
-    "applicable_actions",
-    "attach_words",
-    "banned",
-    "best_effort",
-    "binary_instances",
-    "bwd",
-    "canonical_plan",
-    "chart_parse_all",
-    "check_tree",
-    "effective_max_steps",
-    "enumerate_parses",
-    "fwd",
-    "ingest_supertags",
-    "initial_asrs",
-    "kind_from_name",
-    "leaves",
-    "load_lexicon",
-    "load_rule_config",
-    "parse_all",
-    "parse_category",
-    "print_category",
-    "replay_plan",
-    "step",
-    "tag_with_lexicon",
-    "ternary_instances",
-    "to_ascii",
-    "to_dot",
-    "to_json",
-    "tree_from_json",
-    "unary_instances",
-]
+# every public name imported above, so each export is listed once
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -34,9 +34,11 @@ class CliError(Exception):
 
 
 def _read_text(path: str, what: str) -> str:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # become part of the first word or key
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {what} {path!r}: {exc}") from exc
 
 

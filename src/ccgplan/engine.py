@@ -1,22 +1,23 @@
-"""Parsing as plan search over annotated category sequences.
+"""Parsing as plan search over category sequences.
 
-The planning model: an ASR (abstract sentence representation) is an
-ordered sequence of categories, each tagged with a position id; the
-initial states are a tagged sentence's candidate combinations at
-positions 1..n. Actions are annotated combinator occurrences; applying a
-set of position-disjoint actions is one concurrent step. The effect of an
-action carries the id of its leftmost input, untouched items persist by
-inertia, and the state remembers for each position when and by which
-combinator it was last modified. ``banned`` applies the normal-form
-constraints to an action from that bookkeeping.
+The planning model is the reference semantics the search is checked
+against: an ASR (abstract sentence representation) is an ordered
+sequence of categories, each tagged with a position id. Actions are
+annotated combinator occurrences; applying a set of position-disjoint
+actions is one concurrent step. The effect of an action carries the id
+of its leftmost input, untouched items persist by inertia, and the state
+remembers for each position when and by which combinator it was last
+modified. ``banned`` applies the normal-form constraints to an action
+from that bookkeeping.
 
-The search enumerates canonical concurrent plans: within a plan, a
-category produced at step t that is consumed later must be consumed at
-step t+1, and every action at step t >= 1 either consumes a category
-produced at step t-1 or works entirely on untouched initial material. One
-canonical plan exists per derivation tree reaching the goal, its length
-equal to the tree's internal height, with every node scheduled at
-``height(tree) - 1 - depth(node)``.
+The search starts from the categories of one candidate combination, at
+positions 1..n, and builds no planning state. It enumerates canonical
+concurrent plans: within a plan, a category produced at step t that is
+consumed later must be consumed at step t+1, and every action at step
+t >= 1 either consumes a category produced at step t-1 or works entirely
+on untouched initial material. One canonical plan exists per derivation
+tree reaching the goal, its length equal to the tree's internal height,
+with every node scheduled at ``height(tree) - 1 - depth(node)``.
 
 That correspondence lets the enumeration walk reductions while tracking
 the height each constituent would occupy in the levelized concurrent
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .categories import Category
 from .lexicon import TaggedSentence
@@ -163,16 +164,6 @@ def step(s: Asr, acts: Iterable[Action]) -> Asr:
         last_affected[p] = t1
         last_action[p] = a.kind
     return Asr(items=tuple(new_items), time=t1, last_affected=last_affected, last_action=last_action)
-
-
-def initial_asrs(ts: TaggedSentence) -> Iterator[Asr]:
-    """All candidate combinations as initial states, highest weights first.
-
-    Yields one state per element of the Cartesian product of candidate
-    lists, position ids 1..n, ordered lexicographically by candidate index.
-    """
-    for combo in product(*(t.candidates for t in ts.tokens)):
-        yield Asr.initial(c.cat for c in combo)
 
 
 def effective_max_steps(cfg: RuleConfig, sentence_length: int) -> int:
@@ -353,51 +344,49 @@ def _recipes(state, tables, target, memo):
     return result
 
 
-def _materialize(recipe, items: tuple[AnnotatedCategory, ...], tables: _Tables):
+def _materialize(recipe, cats: tuple[Category, ...], tables: _Tables):
     if recipe.__class__ is int:
-        item = items[recipe]
-        return Leaf(None, item.cat, item.pos)
+        return Leaf(None, cats[recipe], recipe + 1)
     nid, kids = recipe
-    built = tuple([_materialize(k, items, tables) for k in kids])
+    built = tuple([_materialize(k, cats, tables) for k in kids])
     if nid == _FOREST:
         return built
     cat, kind, _ = tables.nodes[nid]
     return Node(kind, cat, built)
 
 
-def _parse(initial: Asr, cfg: RuleConfig, target: Category | None, tables: _Tables | None):
-    """One search from an initial state: the fewest items reached, and the
-    trees rooted at ``target`` or, without one, the best-effort forests.
-    ``tables`` must have been built for ``cfg`` and this sentence length;
-    None builds a fresh set."""
-    if initial.time != 0 or initial.last_affected or initial.last_action:
-        raise ValueError("enumeration starts from an initial state")
+def _parse(cats: Iterable[Category], cfg: RuleConfig, target: Category | None, tables: _Tables | None):
+    """One search from a combination's categories at positions 1..n: the
+    fewest items reached, and the trees rooted at ``target`` or, without
+    one, the best-effort forests. ``tables`` must have been built for
+    ``cfg`` and this sentence length; None builds a fresh set."""
+    cats = tuple(cats)
     if tables is None:
-        tables = _Tables(cfg, effective_max_steps(cfg, len(initial.items)))
-    state = tuple(tables.node(it.cat, None, 0) for it in initial.items)
+        tables = _Tables(cfg, effective_max_steps(cfg, len(cats)))
+    state = tuple(tables.node(cat, None, 0) for cat in cats)
     best, recipes = _recipes(state, tables, target, {})
-    return best, {_materialize(r, initial.items, tables) for r in recipes}
+    return best, {_materialize(r, cats, tables) for r in recipes}
 
 
 def enumerate_parses(
-    initial: Asr, cfg: RuleConfig, goal: ParseGoal, *, tables: _Tables | None = None
+    cats: Iterable[Category], cfg: RuleConfig, goal: ParseGoal, *, tables: _Tables | None = None
 ) -> set[DerivationTree]:
     """All distinct derivation trees whose canonical plan reaches the goal
     within ``max_steps``. Empty when the goal is unreachable."""
     if goal.target is None:
         raise ValueError("enumerate_parses handles strict goals; use best_effort")
-    return _parse(initial, cfg, goal.target, tables)[1]
+    return _parse(cats, cfg, goal.target, tables)[1]
 
 
 def best_effort(
-    initial: Asr, cfg: RuleConfig, *, tables: _Tables | None = None
+    cats: Iterable[Category], cfg: RuleConfig, *, tables: _Tables | None = None
 ) -> tuple[int, set[tuple[DerivationTree, ...]]]:
     """Minimal reachable residue length and every forest achieving it."""
-    return _parse(initial, cfg, None, tables)
+    return _parse(cats, cfg, None, tables)
 
 
 def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
-    """Union over every initial candidate combination, deduplicated.
+    """Union over every candidate combination, deduplicated.
 
     Strict: a set of derivation trees. Best-effort: the globally minimal
     residue length across combinations plus all forests achieving it.
@@ -408,12 +397,13 @@ def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
     tables = _Tables(cfg, effective_max_steps(cfg, len(ts.tokens)))
     best: int | None = None
     found: set = set()
-    for asr in initial_asrs(ts):
+    for combo in product(*(tok.candidates for tok in ts.tokens)):
+        cats = tuple([c.cat for c in combo])
         # a strict search's trees count as residue-1 results of its combination
         if strict:
-            residue, results = 1, enumerate_parses(asr, cfg, goal, tables=tables)
+            residue, results = 1, enumerate_parses(cats, cfg, goal, tables=tables)
         else:
-            residue, results = best_effort(asr, cfg, tables=tables)
+            residue, results = best_effort(cats, cfg, tables=tables)
         if best is None or residue < best:
             best, found = residue, set()
         if residue == best:

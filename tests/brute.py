@@ -55,12 +55,14 @@ def _build_node(action: Action, trees):
     return Node(action.kind, action.output, tuple(trees[p] for p in action.positions))
 
 
-def concurrent_plans(initial: Asr, cfg: RuleConfig, goal: ParseGoal):
-    """Yield (plan, final state, forest) for every canonical plan endpoint.
+def concurrent_plans(cats, cfg: RuleConfig, goal: ParseGoal):
+    """Yield (plan, final state, forest) for every canonical plan endpoint
+    from the time-0 state of ``cats`` at positions 1..n.
 
     For a strict goal only endpoints reducing to the single target
     category are yielded; for best-effort every endpoint is.
     """
+    initial = Asr.initial(cats)
     limit = effective_max_steps(cfg, len(initial.items))
     results = []
 
@@ -90,11 +92,11 @@ def concurrent_plans(initial: Asr, cfg: RuleConfig, goal: ParseGoal):
     return results
 
 
-def brute_strict_trees(initial, cfg, goal):
-    return {forest[0] for _, _, forest in concurrent_plans(initial, cfg, goal)}
+def brute_strict_trees(cats, cfg, goal):
+    return {forest[0] for _, _, forest in concurrent_plans(cats, cfg, goal)}
 
 
-def brute_best_effort(initial, cfg):
-    endpoints = concurrent_plans(initial, cfg, ParseGoal.best_effort())
+def brute_best_effort(cats, cfg):
+    endpoints = concurrent_plans(cats, cfg, ParseGoal.best_effort())
     best = min(len(forest) for _, _, forest in endpoints)
     return best, {forest for _, _, forest in endpoints if len(forest) == best}

@@ -198,6 +198,40 @@ def test_supertag_single_cutoff_falls_back(tmp_path, capsys):
     assert "mode=best-effort" in out
 
 
+@pytest.mark.parametrize("reader", ["lexicon", "rules", "supertags"])
+def test_a_byte_order_mark_does_not_change_the_output(lexicon_file, demo_lexicon_text, tmp_path, capsys, reader):
+    texts = {"lexicon": demo_lexicon_text + "\n", "rules": "rules = >, <\nmax_steps = 3\n"}
+    texts["supertags"] = LADDER_SUPERTAGS
+
+    def run(prefix):
+        path = tmp_path / f"{reader}{len(prefix)}.txt"
+        path.write_text(prefix + texts[reader], encoding="utf-8")
+        if reader == "supertags":
+            argv = ["parse", "--supertags", str(path)]
+        else:
+            lexicon = str(path) if reader == "lexicon" else lexicon_file
+            argv = ["parse", "--lexicon", lexicon, "--words", "The dog bit John"]
+            argv += ["--rules", str(path)] if reader == "rules" else []
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, re.sub(r"wall=\S+", "wall=*", out), err
+
+    plain = run("")
+    assert plain[0] == 0 and "The" in plain[1]
+    assert run("\ufeff") == plain
+
+
+@pytest.mark.parametrize("command", [["parse", "--words", "caf\u00e9"], ["check"]])
+def test_an_undecodable_lexicon_is_one_error_line_naming_it(tmp_path, capsys, command):
+    lexicon = tmp_path / "latin1.txt"
+    lexicon.write_bytes("caf\u00e9\tN\n".encode("latin-1"))
+    assert main([command[0], "--lexicon", str(lexicon), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1
+    assert err[0].startswith(f"error: cannot read lexicon {str(lexicon)!r}: ")
+
+
 def test_check_clean_files(lexicon_file, tmp_path, capsys):
     rules = tmp_path / "rules.cfg"
     rules.write_text("rules = >, <\nnormalize = on\n", encoding="utf-8")

@@ -11,7 +11,6 @@ with ``max_steps = 2n+1``, which admits every tree over n words.
 import random
 
 from ccgplan import (
-    Asr,
     Candidate,
     CombinatorKind,
     Leaf,
@@ -75,21 +74,17 @@ def test_all_combinators_match_brute_force_strict():
     rng = random.Random(409)
     goal = ParseGoal.strict()
     for case in range(36):
-        initial = Asr.initial(_sentence(rng, SHAPES))
-        cfg = _all_rules_config(case, len(initial.items))
-        assert enumerate_parses(initial, cfg, goal) == brute_strict_trees(initial, cfg, goal), (
-            f"case {case}: {[i.cat for i in initial.items]} {cfg}"
-        )
+        cats = _sentence(rng, SHAPES)
+        cfg = _all_rules_config(case, len(cats))
+        assert enumerate_parses(cats, cfg, goal) == brute_strict_trees(cats, cfg, goal), f"case {case}: {cats} {cfg}"
 
 
 def test_all_combinators_match_brute_force_best_effort():
     rng = random.Random(521)
     for case in range(36):
-        initial = Asr.initial(_sentence(rng, SHAPES))
-        cfg = _all_rules_config(case, len(initial.items))
-        assert best_effort(initial, cfg) == brute_best_effort(initial, cfg), (
-            f"case {case}: {[i.cat for i in initial.items]} {cfg}"
-        )
+        cats = _sentence(rng, SHAPES)
+        cfg = _all_rules_config(case, len(cats))
+        assert best_effort(cats, cfg) == brute_best_effort(cats, cfg), f"case {case}: {cats} {cfg}"
 
 
 def _oracle_config(case, n):
@@ -159,6 +154,6 @@ def test_best_effort_residue_with_a_raised_root():
 
 def test_strict_root_may_stand_raised_when_it_is_the_target():
     target = C(r"S/(S\NP)")
-    trees = enumerate_parses(Asr.initial([C("NP")]), RuleConfig(), ParseGoal.strict(target))
+    trees = enumerate_parses([C("NP")], RuleConfig(), ParseGoal.strict(target))
     assert trees == {Node(K.FWD_RAISE, target, (Leaf(None, C("NP"), 1),))}
-    assert enumerate_parses(Asr.initial([C("NP")]), RuleConfig(max_steps=1), ParseGoal.strict(target)) == trees
+    assert enumerate_parses([C("NP")], RuleConfig(max_steps=1), ParseGoal.strict(target)) == trees

@@ -1,5 +1,7 @@
+import math
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -22,7 +24,6 @@ from ccgplan import (
     canonical_plan,
     check_tree,
     enumerate_parses,
-    initial_asrs,
     load_lexicon,
     parse_all,
     parse_category,
@@ -36,8 +37,11 @@ C = parse_category
 K = CombinatorKind
 
 
+DEMO = (C("NP/N"), C("N"), C(r"(S\NP)/NP"), C("NP"))
+
+
 def demo_asr():
-    return Asr.initial([C("NP/N"), C("N"), C(r"(S\NP)/NP"), C("NP")])
+    return Asr.initial(DEMO)
 
 
 def c1():
@@ -256,46 +260,32 @@ def spurious_tree(words=False):
 
 
 def test_enumerate_golden_sentence():
-    trees = enumerate_parses(demo_asr(), RuleConfig(), ParseGoal.strict())
+    trees = enumerate_parses(DEMO, RuleConfig(), ParseGoal.strict())
     assert trees == {golden_tree()}
 
 
 def test_enumerate_finds_spurious_tree_without_normalization():
-    trees = enumerate_parses(demo_asr(), RuleConfig(normalize=False, max_steps=5), ParseGoal.strict())
+    trees = enumerate_parses(DEMO, RuleConfig(normalize=False, max_steps=5), ParseGoal.strict())
     assert spurious_tree() in trees
     assert golden_tree() in trees
 
 
 def test_enumerate_trivial_goal():
-    trees = enumerate_parses(Asr.initial([C("S")]), RuleConfig(), ParseGoal.strict())
+    trees = enumerate_parses([C("S")], RuleConfig(), ParseGoal.strict())
     assert trees == {Leaf(None, C("S"), 1)}
 
 
 def test_enumerate_unreachable_goal_is_empty():
-    assert enumerate_parses(Asr.initial([C("N"), C("N")]), RuleConfig(), ParseGoal.strict()) == set()
+    assert enumerate_parses([C("N"), C("N")], RuleConfig(), ParseGoal.strict()) == set()
 
 
 def test_enumerate_rejects_best_effort_goal():
     with pytest.raises(ValueError):
-        enumerate_parses(demo_asr(), RuleConfig(), ParseGoal.best_effort())
-
-
-def test_enumerate_rejects_started_state():
-    started = step(demo_asr(), {c1()})
-    with pytest.raises(ValueError):
-        enumerate_parses(started, RuleConfig(), ParseGoal.strict())
-
-
-def test_enumerate_rejects_an_initial_time_state_with_bookkeeping():
-    started = Asr(demo_asr().items, time=0, last_affected={1: 1}, last_action={1: K.FWD_RAISE})
-    with pytest.raises(ValueError, match="initial state"):
-        enumerate_parses(started, RuleConfig(), ParseGoal.strict())
-    with pytest.raises(ValueError, match="initial state"):
-        best_effort(started, RuleConfig())
+        enumerate_parses(DEMO, RuleConfig(), ParseGoal.best_effort())
 
 
 def test_all_enumerated_trees_are_sound():
-    trees = enumerate_parses(demo_asr(), RuleConfig(normalize=False, max_steps=5), ParseGoal.strict())
+    trees = enumerate_parses(DEMO, RuleConfig(normalize=False, max_steps=5), ParseGoal.strict())
     assert all(check_tree(t) for t in trees)
 
 
@@ -319,9 +309,9 @@ def test_each_category_pair_is_combined_once_per_search(monkeypatch, length, nor
     monkeypatch.setattr(ccgplan.engine, "binary_instances", recording)
     ts = tag_with_lexicon(PP_WORDS[:length], load_lexicon(PP_LEXICON))
     trees = set()
-    for asr in initial_asrs(ts):
+    for combo in product(*(tok.candidates for tok in ts.tokens)):
         calls.clear()
-        trees |= enumerate_parses(asr, RuleConfig(normalize=normalize), ParseGoal.strict())
+        trees |= enumerate_parses([c.cat for c in combo], RuleConfig(normalize=normalize), ParseGoal.strict())
         repeated = [pair for pair, times in Counter(calls).items() if times > 1]
         assert calls and not repeated, f"{len(repeated)} category pairs combined more than once"
     assert len(trees) == count
@@ -345,7 +335,7 @@ def test_each_category_pair_is_combined_once_per_parse_all(monkeypatch, length, 
 
     monkeypatch.setattr(ccgplan.engine, "binary_instances", recording)
     ts = tag_with_lexicon(PP_WORDS[:length], load_lexicon(PP_LEXICON))
-    assert len(list(initial_asrs(ts))) == combos
+    assert math.prod(len(tok.candidates) for tok in ts.tokens) == combos
     found = parse_all(ts, cfg, goal)
     repeated = [pair for pair, times in Counter(calls).items() if times > 1]
     assert calls
@@ -374,16 +364,13 @@ def test_best_effort_the_dog_bit(demo_lexicon):
 
 
 def test_best_effort_single_word():
-    residue, forests = best_effort(Asr.initial([C("N")]), RuleConfig())
+    residue, forests = best_effort([C("N")], RuleConfig())
     assert residue == 1
     assert forests == {(Leaf(None, C("N"), 1),)}
 
 
 def test_best_effort_nothing_combines():
-    residue, forests = best_effort(
-        Asr.initial([C("N"), C("N")]),
-        RuleConfig(enabled={K.FWD_APPL, K.BWD_APPL}),
-    )
+    residue, forests = best_effort([C("N"), C("N")], RuleConfig(enabled={K.FWD_APPL, K.BWD_APPL}))
     assert residue == 2
     assert forests == {(Leaf(None, C("N"), 1), Leaf(None, C("N"), 2))}
 
@@ -407,6 +394,37 @@ def test_parse_all_unions_over_candidates():
     assert trees == {golden_tree(words=True)}
 
 
+class _NoPlanningModel:
+    """Stands in for a planning-model class and fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the search read the planning model: {name}")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("the search built a planning state")
+
+
+@pytest.mark.parametrize("length, goal", [(8, ParseGoal.strict()), (7, ParseGoal.best_effort())])
+def test_parse_all_builds_no_planning_state(monkeypatch, length, goal):
+    ts = tag_with_lexicon(PP_WORDS[:length], load_lexicon(PP_LEXICON))
+    expected = parse_all(ts, RuleConfig(), goal)
+    monkeypatch.setattr(ccgplan.engine, "Asr", _NoPlanningModel())
+    monkeypatch.setattr(ccgplan.engine, "AnnotatedCategory", _NoPlanningModel())
+    assert math.prod(len(tok.candidates) for tok in ts.tokens) > 1
+    assert expected and parse_all(ts, RuleConfig(), goal) == expected
+
+
+def test_the_search_takes_any_iterable_of_categories():
+    cfg = RuleConfig(normalize=False, max_steps=5)
+    trees = enumerate_parses(list(DEMO), cfg, ParseGoal.strict())
+    assert len(trees) > 1
+    assert enumerate_parses(DEMO, cfg, ParseGoal.strict()) == trees
+    assert enumerate_parses((c for c in DEMO), cfg, ParseGoal.strict()) == trees
+    fallback = best_effort(list(DEMO[:3]), cfg)
+    assert best_effort(DEMO[:3], cfg) == fallback
+    assert best_effort((c for c in DEMO[:3]), cfg) == fallback
+
+
 # canonical plans
 
 
@@ -425,14 +443,14 @@ def test_canonical_plan_of_leaf_is_empty():
 
 
 def test_canonical_plan_of_forest_schedules_both_trees():
-    initial = Asr.initial([C("A/B"), C("B"), C("C/D"), C("D")])
+    cats = [C("A/B"), C("B"), C("C/D"), C("D")]
     cfg = RuleConfig(enabled={K.FWD_APPL, K.BWD_APPL})
-    residue, forests = best_effort(initial, cfg)
+    residue, forests = best_effort(cats, cfg)
     assert residue == 2
     forest = next(f for f in forests if all(not isinstance(t, Leaf) for t in f))
     plan = canonical_plan(forest)
     assert len(plan.steps) == 1 and len(plan.steps[0]) == 2
-    final = replay_plan(initial, plan)[-1]
+    final = replay_plan(Asr.initial(cats), plan)[-1]
     assert [i.cat for i in final.items] == [C("A"), C("C")]
 
 
@@ -456,11 +474,10 @@ def _plan_is_canonical(plan, initial, cfg):
 
 def test_levelized_plans_replay_canonically():
     cfg = RuleConfig(normalize=False, max_steps=5)
-    initial = demo_asr()
-    for tree in enumerate_parses(initial, cfg, ParseGoal.strict()):
+    for tree in enumerate_parses(DEMO, cfg, ParseGoal.strict()):
         plan = canonical_plan(tree)
         assert len(plan.steps) <= 5
-        assert _plan_is_canonical(plan, initial, cfg)
+        assert _plan_is_canonical(plan, demo_asr(), cfg)
 
 
 # cross-check against the brute-force concurrent-plan search
@@ -470,9 +487,9 @@ POOL = [
 ]
 
 
-def _random_asr(rng, max_n=3):
+def _random_cats(rng, max_n=3):
     n = rng.randint(2, max_n)
-    return Asr.initial([C(rng.choice(POOL)) for _ in range(n)])
+    return [C(rng.choice(POOL)) for _ in range(n)]
 
 
 def _quadrant_config(index, n):
@@ -488,19 +505,19 @@ def test_engine_matches_brute_force_concurrent_search():
     rng = random.Random(193)
     goal = ParseGoal.strict()
     for case in range(32):
-        initial = _random_asr(rng)
-        cfg = _quadrant_config(case, len(initial.items))
-        assert enumerate_parses(initial, cfg, goal) == brute_strict_trees(initial, cfg, goal), (
-            f"case {case}: {[str(i.cat) for i in initial.items]}"
+        cats = _random_cats(rng)
+        cfg = _quadrant_config(case, len(cats))
+        assert enumerate_parses(cats, cfg, goal) == brute_strict_trees(cats, cfg, goal), (
+            f"case {case}: {[str(c) for c in cats]}"
         )
 
 
 def test_engine_best_effort_matches_brute_force():
     rng = random.Random(311)
     for case in range(12):
-        initial = _random_asr(rng)
-        cfg = _quadrant_config(case, len(initial.items))
-        assert best_effort(initial, cfg) == brute_best_effort(initial, cfg)
+        cats = _random_cats(rng)
+        cfg = _quadrant_config(case, len(cats))
+        assert best_effort(cats, cfg) == brute_best_effort(cats, cfg)
 
 
 def test_canonical_plans_are_unique_per_tree_for_application_only():
@@ -509,12 +526,10 @@ def test_canonical_plans_are_unique_per_tree_for_application_only():
     from brute import concurrent_plans
 
     for _ in range(12):
-        initial = _random_asr(rng, max_n=4)
-        cfg = RuleConfig(
-            enabled=cfg_base.enabled, normalize=True, max_steps=2 * len(initial.items) + 1
-        )
+        cats = _random_cats(rng, max_n=4)
+        cfg = RuleConfig(enabled=cfg_base.enabled, normalize=True, max_steps=2 * len(cats) + 1)
         seen = {}
-        for plan, _, forest in concurrent_plans(initial, cfg, ParseGoal.strict()):
+        for plan, _, forest in concurrent_plans(cats, cfg, ParseGoal.strict()):
             tree = forest[0]
             assert seen.get(tree, plan) == plan, "two canonical plans denote one tree"
             seen[tree] = plan

@@ -1,4 +1,3 @@
-import itertools
 import re
 
 import pytest
@@ -6,13 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ccgplan import (
-    Candidate,
     LexiconError,
     SupertagError,
-    TaggedSentence,
-    Token,
     ingest_supertags,
-    initial_asrs,
     load_lexicon,
     parse_category,
     tag_with_lexicon,
@@ -159,51 +154,6 @@ def test_supertag_input_errors_name_their_cause(source, message):
 def test_supertag_cutoff_validated():
     with pytest.raises(ValueError):
         ingest_supertags("a|X|N:1.0", cutoff=0.0)
-
-
-def _sentence(counts):
-    cats = ["S", "NP", "N", "PP"]
-    tokens = []
-    for i, k in enumerate(counts):
-        cands = tuple(Candidate(parse_category(cats[j % len(cats)])) for j in range(k))
-        tokens.append(Token(f"w{i}", cands))
-    return TaggedSentence(tuple(tokens))
-
-
-def test_initial_asrs_single_combination(demo_lexicon):
-    ts = tag_with_lexicon(["The", "dog", "bit", "John"], demo_lexicon)
-    asrs = list(initial_asrs(ts))
-    assert len(asrs) == 1
-    assert [(it.pos, it.cat) for it in asrs[0].items] == [
-        (1, parse_category("NP/N")),
-        (2, parse_category("N")),
-        (3, parse_category(r"(S\NP)/NP")),
-        (4, parse_category("NP")),
-    ]
-
-
-def test_initial_asrs_product_counts():
-    assert len(list(initial_asrs(_sentence([1, 2, 1])))) == 2
-    assert len(list(initial_asrs(_sentence([2, 3])))) == 6
-
-
-def test_initial_asrs_first_combination_is_top_ranked():
-    ts = ingest_supertags("a|X|N:0.9|NP:0.2 b|X|S:0.8|PP:0.7", cutoff=0.01)
-    first = next(initial_asrs(ts))
-    assert [it.cat for it in first.items] == [parse_category("N"), parse_category("S")]
-
-
-def test_initial_asrs_is_lazy():
-    stream = initial_asrs(_sentence([3, 3, 3]))
-    assert len(list(itertools.islice(stream, 2))) == 2
-
-
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=4))
-def test_initial_asr_count_matches_product(counts):
-    expected = 1
-    for k in counts:
-        expected *= k
-    assert len(list(initial_asrs(_sentence(counts)))) == expected
 
 
 @given(

@@ -12,6 +12,7 @@ one tree per reading of the unnormalized trees that raise only ``NP``.
 
 from dataclasses import replace
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +33,6 @@ from ccgplan import (
     check_tree,
     enumerate_parses,
     ingest_supertags,
-    initial_asrs,
     leaves,
     parse_all,
     parse_category,
@@ -182,9 +182,10 @@ def test_parse_all_is_the_union_of_one_fresh_search_per_combination(case):
     words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
     trees = set()
     fallbacks = []
-    for asr in initial_asrs(ts):
-        trees |= {attach_words(t, words) for t in enumerate_parses(asr, cfg, STRICT)}
-        residue, forests = best_effort(asr, cfg)
+    for combo in product(*(tok.candidates for tok in ts.tokens)):
+        cats = [c.cat for c in combo]
+        trees |= {attach_words(t, words) for t in enumerate_parses(cats, cfg, STRICT)}
+        residue, forests = best_effort(cats, cfg)
         fallbacks.append((residue, {tuple(attach_words(t, words) for t in forest) for forest in forests}))
     best = min(residue for residue, _ in fallbacks)
     assert parse_all(ts, cfg, STRICT) == trees
@@ -224,12 +225,12 @@ def bracketings(n: int, height: int) -> int:
     return sum(bracketings(k, height - 1) * bracketings(n - k, height - 1) for k in range(1, n))
 
 
-def chain(n: int, forward: bool) -> Asr:
+def chain(n: int, forward: bool) -> list:
     """``A0/A1 ... A(n-2)/A(n-1) A(n-1)``, or its mirror image with
     backward slashes, which reduces to ``A0`` under any bracketing."""
     functors = [f"A{i}/A{i + 1}" if forward else f"A{i}\\A{i + 1}" for i in range(n - 1)]
     cats = functors + [f"A{n - 1}"]
-    return Asr.initial([parse_category(c) for c in (cats if forward else reversed(cats))])
+    return [parse_category(c) for c in (cats if forward else reversed(cats))]
 
 
 CHAIN_RULES = {
