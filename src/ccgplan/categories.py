@@ -9,6 +9,8 @@ the left, so ``A/B/C`` reads ``(A/B)/C``.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -21,35 +23,83 @@ class CategoryError(ValueError):
         self.offset = offset
 
 
-# Every category holds its canonical text, built once from its parts' text
-# when the category is built: printing reads it, and hashing hashes it, so
-# neither recurses. Equality stays structural, since text alone would
-# equate ``Functor(A, Atom("B/C"))`` with ``Functor(Atom("A/B"), C)``.
+# Categories are interned (hash-consed): ``Atom`` and ``Functor`` return one
+# object per structure, so equality and hashing are object identity, in C.
+# The table is keyed by an atom's name, or by a functor's slash and the ids
+# of its parts: interned parts are one object per structure, and a functor
+# keeps its parts, and so their ids, alive. Text would not do as a key,
+# since ``Functor(A, Atom("B/C"))`` and ``Functor(Atom("A/B"), C)`` print
+# alike. The table holds its categories weakly, so a category lives only
+# while something else refers to it. A lookup that misses takes the lock
+# and looks again, so two threads never build two objects for one
+# structure. Pickle, ``copy`` and ``deepcopy`` rebuild through the
+# constructor and so return the interned object. Each category holds its
+# canonical text, built once from its parts' text, for printing.
 
 
-@dataclass(frozen=True)
+class _Entry(weakref.ref):
+    """The intern table's weak reference to a category, holding its key."""
+
+    __slots__ = ("key",)
+
+
+_interned: dict[object, _Entry] = {}
+# reentrant: an entry's callback may run in a thread that holds the lock
+_intern_lock = threading.RLock()
+
+
+def _forget(entry: _Entry, table=_interned, lock=_intern_lock) -> None:
+    """Drop a dead category's entry, unless a new one has replaced it."""
+    with lock:
+        if table.get(entry.key) is entry:
+            del table[entry.key]
+
+
+def _intern(cls, key, **fields) -> "Category":
+    """The interned category for ``key``, built from ``fields`` on a miss."""
+    with _intern_lock:
+        entry = _interned.get(key)
+        c = None if entry is None else entry()
+        if c is None:
+            c = object.__new__(cls)
+            for name, value in fields.items():
+                object.__setattr__(c, name, value)
+            entry = _interned[key] = _Entry(c, _forget)
+            entry.key = key
+    return c
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Atom:
     name: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "_text", self.name)
+    def __new__(cls, name: str) -> "Atom":
+        entry = _interned.get(name)
+        c = None if entry is None else entry()
+        return c if c is not None else _intern(cls, name, name=name, _text=name)
 
-    def __hash__(self) -> int:
-        return hash(self._text)
+    def __reduce__(self):
+        return Atom, (self.name,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Functor:
     result: "Category"
     arg: "Category"
     forward: bool
 
-    def __post_init__(self):
-        slash = "/" if self.forward else "\\"
-        object.__setattr__(self, "_text", f"{_wrap(self.result)}{slash}{_wrap(self.arg)}")
+    def __new__(cls, result: "Category", arg: "Category", forward: bool) -> "Functor":
+        key = (id(result), id(arg), forward)
+        entry = _interned.get(key)
+        c = None if entry is None else entry()
+        if c is None:
+            slash = "/" if forward else "\\"
+            text = f"{_wrap(result)}{slash}{_wrap(arg)}"
+            c = _intern(cls, key, result=result, arg=arg, forward=forward, _text=text)
+        return c
 
-    def __hash__(self) -> int:
-        return hash(self._text)
+    def __reduce__(self):
+        return Functor, (self.result, self.arg, self.forward)
 
 
 Category = Union[Atom, Functor]

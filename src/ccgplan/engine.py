@@ -39,13 +39,15 @@ its memo entry, so commutative action orders are explored once; the memo
 depends on the target and belongs to one search. What an adjacent pair
 of nodes (or triple, under coordination) can reduce to depends on those
 nodes, the rule configuration and the height bound alone, so it is
-computed once and reused in every state where they are adjacent; the
-rule instances of a category pair and the raises of a category are
-computed once too. A sentence's candidate combinations all have its
-length, so ``parse_all`` builds these tables once and its searches, one
-per combination, share them. The trees found are exactly those denoted
-by admissible canonical plans; ``canonical_plan`` rebuilds the concurrent
-plan for any of them.
+computed once and reused in every state where they are adjacent. Below
+that sits the rule work of a category pair (or triple): every rule over
+it with each input as it stands or raised, computed once, so a node pair
+only filters that list by height and by the normal-form bans. Categories
+are interned, so the tables hash and compare them by identity. A
+sentence's candidate combinations all have its length, so ``parse_all``
+builds these tables once and its searches, one per combination, share
+them. The trees found are exactly those denoted by admissible canonical
+plans; ``canonical_plan`` rebuilds the concurrent plan for any of them.
 """
 
 from __future__ import annotations
@@ -215,11 +217,16 @@ class _Tables:
     configuration and height bound.
 
     Nodes (category, producing combinator, height) are a dict from node to
-    id plus the list of nodes by id. No entry depends on a search's start
-    state or target, so every search over sentences of one length may
-    share a table set: ``parse_all`` builds one per call, computing each
-    rule instance, raise and pair reduction once for all of its
-    combinations.
+    id plus the list of nodes by id. The rule work has three levels, each
+    computed once: the rule instances of a category, pair or triple, as
+    the rule functions return them; for each category tuple, its raised
+    rules, every instance over its inputs as they stand or raised; and for
+    each node tuple, its reductions, the raised rules that fit the height
+    bound and the normal-form bans. The rule functions are looked up in
+    this module's globals at each call. No entry depends on a search's
+    start state or target, so every search over sentences of one length
+    may share a table set: ``parse_all`` builds one per call, doing the
+    rule work once for all of its combinations.
     """
 
     def __init__(self, cfg: RuleConfig, limit: int):
@@ -229,6 +236,7 @@ class _Tables:
         self.node_ids: dict[tuple[Category, CombinatorKind | None, int], int] = {}
         self.nodes: list[tuple[Category, CombinatorKind | None, int]] = []
         self.rules: dict[tuple[Category, ...], list[RuleInstance]] = {}
+        self.raised: dict[tuple[Category, ...], list] = {}
         self.ways_of: dict[int, list[int | None]] = {}
         self.reduced: dict[tuple[int, ...], list[tuple[int, tuple[int | None, ...]]]] = {}
 
@@ -241,9 +249,9 @@ class _Tables:
         return nid
 
     def ways(self, nid: int) -> list[int | None]:
-        """The ways a node can enter a rule or stand as a root: as it
-        stands (None), or as a raised node within the height bound. No
-        state node is a raise, so nothing is raised twice."""
+        """The ways a node can stand as a tree root: as it stands (None),
+        or as a raised node within the height bound. No state node is a
+        raise, so nothing is raised twice."""
         ways = self.ways_of.get(nid)
         if ways is None:
             cat, _, height = self.nodes[nid]
@@ -267,25 +275,40 @@ class _Tables:
             self.rules[cats] = insts
         return insts
 
+    def raised_rules(self, cats: tuple[Category, ...]) -> list:
+        """Every rule over a category pair (or triple, for coordination)
+        with its inputs as they stand or raised, as (raise or None per
+        input, combinator, output category), in the order of the raise
+        combinations and then of the rule instances."""
+        found = self.raised.get(cats)
+        if found is None:
+            found = []
+            for raises in product(*([None] + self.instances((cat,)) for cat in cats)):
+                inputs = tuple([cat if r is None else r.output for cat, r in zip(cats, raises)])
+                found += [(raises, kind, out) for kind, out in self.instances(inputs)]
+            self.raised[cats] = found
+        return found
+
     def reductions(self, key: tuple[int, ...]) -> list[tuple[int, tuple[int | None, ...]]]:
         """The reductions of adjacent nodes (a pair, or a triple for
-        coordination) as (merged node, raised node or None per input)."""
+        coordination) as (merged node, raised node or None per input): the
+        category tuple's raised rules that fit the height bound and that
+        ``blocked`` allows on the inputs' producers."""
         found = self.reduced.get(key)
         if found is not None:
             return found
         found = []
-        for raises in product(*(self.ways(nid) for nid in key)):
-            nodes = [self.nodes[nid if r is None else r] for nid, r in zip(key, raises)]
-            insts = self.instances(tuple([cat for cat, _, _ in nodes]))
-            if not insts:
-                continue
-            height = 1 + max([h for _, _, h in nodes])
-            if height > self.limit:
-                continue
-            for kind, out in insts:
-                if blocked(kind, nodes[0][1], nodes[-1][1], self.cfg):
+        nodes = [self.nodes[nid] for nid in key]
+        # raising an input only adds to its height, so if the plain inputs
+        # do not fit, nothing does
+        if 1 + max([h for _, _, h in nodes]) <= self.limit:
+            for raises, kind, out in self.raised_rules(tuple([cat for cat, _, _ in nodes])):
+                inputs = [n if r is None else (r.output, r.kind, n[2] + 1) for n, r in zip(nodes, raises)]
+                height = 1 + max([h for _, _, h in inputs])
+                if height > self.limit or blocked(kind, inputs[0][1], inputs[-1][1], self.cfg):
                     continue
-                found.append((self.node(out, kind, height), raises))
+                raised = tuple([None if r is None else self.node(*n) for n, r in zip(inputs, raises)])
+                found.append((self.node(out, kind, height), raised))
         self.reduced[key] = found
         return found
 

@@ -163,10 +163,36 @@ def _raise_output(kind: CombinatorKind, c: Category, target: Category) -> Catego
     return bwd(target, fwd(target, c))
 
 
+# The slash each binary kind needs on its (left, right) input: True forward,
+# False backward, None any category. ``_binary_output`` states the schemas;
+# this only lets ``binary_instances`` skip the kinds a pair cannot fit.
+_SLASHES = {
+    CombinatorKind.FWD_APPL: (True, None),
+    CombinatorKind.BWD_APPL: (None, False),
+    CombinatorKind.FWD_COMP: (True, True),
+    CombinatorKind.BWD_COMP: (False, False),
+    CombinatorKind.BWD_XCOMP: (True, False),
+    CombinatorKind.BWD_XSUBST: (True, True),
+}
+
+
+def _slash(c: Category) -> bool | None:
+    """True for a forward functor, False for a backward one, None for an atom."""
+    return c.forward if c.__class__ is Functor else None
+
+
+# binary kinds by the (left, right) inputs' ``_slash``, in row order
+_KINDS_BY_SLASHES = {
+    (l, r): tuple(k for k in _BINARY_KINDS if _SLASHES[k][0] in (None, l) and _SLASHES[k][1] in (None, r))
+    for l in (True, False, None)
+    for r in (True, False, None)
+}
+
+
 def binary_instances(l: Category, r: Category, cfg: RuleConfig) -> list[RuleInstance]:
     """All enabled binary instances matching the pair, in the order of the kinds' rows."""
     out = []
-    for kind in _BINARY_KINDS:
+    for kind in _KINDS_BY_SLASHES[_slash(l), _slash(r)]:
         if kind not in cfg.enabled:
             continue
         output = _binary_output(kind, l, r)

@@ -1,12 +1,19 @@
+import copy
+import dataclasses
+import gc
 import os
+import pickle
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ccgplan.categories
 from ccgplan import (
     Atom,
     CategoryError,
@@ -155,3 +162,80 @@ def test_unpickled_category_rehashes_in_a_new_process():
         return subprocess.run([sys.executable, "-c", code], input=data, env=env, capture_output=True, check=True).stdout
 
     assert run(_LOAD_CATEGORY, "2", run(_PICKLE_CATEGORY, "1")).split() == [b"True", b"True", b"True"]
+
+
+# interning: one object per structure
+
+
+def test_a_category_built_twice_is_one_object():
+    assert Atom("NP") is NP
+    assert fwd(bwd(S, NP), NP) is fwd(bwd(S, NP), NP)
+    assert parse_category(r"(S\NP)/NP") is fwd(bwd(S, NP), NP)
+    assert Functor(S, NP, False) is bwd(S, NP)
+
+
+@pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.copy, copy.deepcopy])
+def test_pickle_and_copies_return_the_interned_object(clone):
+    c = parse_category(r"((S\NP)/NP)/(N/N)")
+    assert clone(c) is c
+    assert clone(NP) is NP
+    assert clone([c, NP])[0] is c
+
+
+@pytest.mark.parametrize("category, field", [(NP, "name"), (bwd(S, NP), "forward"), (bwd(S, NP), "result")])
+def test_assigning_a_field_raises(category, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(category, field, N)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        category.extra = 1
+
+
+def test_repr_shows_the_fields():
+    assert repr(NP) == "Atom(name='NP')"
+    assert repr(parse_category(r"S\NP")) == "Functor(result=Atom(name='S'), arg=Atom(name='NP'), forward=False)"
+
+
+def test_categories_that_print_alike_stay_distinct():
+    left = Functor(Atom("A"), Atom("B/C"), True)
+    right = Functor(Atom("A/B"), Atom("C"), True)
+    assert print_category(left) == print_category(right) == "A/B/C"
+    assert left != right
+    assert len({left, right}) == 2
+
+
+def test_a_dropped_category_leaves_the_intern_table():
+    c = fwd(Atom("Dropped"), Atom("Dropped2"))
+    key = (id(c.result), id(c.arg), True)
+    alive = weakref.ref(c)
+    assert ccgplan.categories._interned[key]() is c
+    del c
+    gc.collect()
+    assert alive() is None
+    assert key not in ccgplan.categories._interned
+    assert "Dropped" not in ccgplan.categories._interned and "Dropped2" not in ccgplan.categories._interned
+
+
+def test_threads_building_the_same_categories_get_one_object_each():
+    workers, rounds = 8, 1000
+    built = [[] for _ in range(workers)]
+    start = threading.Barrier(workers)
+
+    def build(out):
+        start.wait(timeout=10)
+        for i in range(rounds):
+            out.append(parse_category(f"(Shared{i}\\NP)/(Shared{i}/N)"))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == rounds for out in built)
+    for same in zip(*built):
+        assert all(c is same[0] for c in same)

@@ -21,6 +21,7 @@ from ccgplan import (
     applicable_actions,
     banned,
     best_effort,
+    binary_instances,
     canonical_plan,
     check_tree,
     enumerate_parses,
@@ -30,7 +31,10 @@ from ccgplan import (
     replay_plan,
     step,
     tag_with_lexicon,
+    ternary_instances,
+    unary_instances,
 )
+from ccgplan.rules import blocked
 from brute import brute_best_effort, brute_strict_trees
 
 C = parse_category
@@ -299,22 +303,81 @@ PP_LEXICON = "\n".join(
 
 @pytest.mark.parametrize("length, normalize, count", [(14, True, 14), (8, False, 524)])
 def test_each_category_pair_is_combined_once_per_search(monkeypatch, length, normalize, count):
-    calls = []
-    original = ccgplan.engine.binary_instances
+    calls, raised = [], []
+    original, original_unary = ccgplan.engine.binary_instances, ccgplan.engine.unary_instances
 
     def recording(l, r, cfg):
         calls.append((l, r))
         return original(l, r, cfg)
 
+    def recording_unary(c, cfg):
+        raised.append(c)
+        return original_unary(c, cfg)
+
     monkeypatch.setattr(ccgplan.engine, "binary_instances", recording)
+    monkeypatch.setattr(ccgplan.engine, "unary_instances", recording_unary)
     ts = tag_with_lexicon(PP_WORDS[:length], load_lexicon(PP_LEXICON))
     trees = set()
     for combo in product(*(tok.candidates for tok in ts.tokens)):
         calls.clear()
+        raised.clear()
         trees |= enumerate_parses([c.cat for c in combo], RuleConfig(normalize=normalize), ParseGoal.strict())
         repeated = [pair for pair, times in Counter(calls).items() if times > 1]
         assert calls and not repeated, f"{len(repeated)} category pairs combined more than once"
+        repeated = [c for c, times in Counter(raised).items() if times > 1]
+        assert raised and not repeated, f"{len(repeated)} categories raised more than once"
     assert len(trees) == count
+
+
+def _reference_reductions(tables, key):
+    """A node tuple's reductions, tried as the product of each node's
+    ways in: as it stands, or raised if below the height bound."""
+    cfg, limit = tables.cfg, tables.limit
+
+    def ways(nid):
+        cat, _, height = tables.nodes[nid]
+        if height >= limit:
+            return [None]
+        return [None] + [tables.node(out, kind, height + 1) for kind, out in unary_instances(cat, cfg)]
+
+    found = []
+    for raises in product(*(ways(nid) for nid in key)):
+        nodes = [tables.nodes[nid if r is None else r] for nid, r in zip(key, raises)]
+        cats = [cat for cat, _, _ in nodes]
+        height = 1 + max(h for _, _, h in nodes)
+        instances = binary_instances(*cats, cfg) if len(cats) == 2 else ternary_instances(*cats, cfg)
+        for kind, out in instances:
+            if height <= limit and not blocked(kind, nodes[0][1], nodes[-1][1], cfg):
+                found.append((tables.node(out, kind, height), raises))
+    return found
+
+
+_NODE_CATS = [
+    C(c) for c in ("S", "NP", "N", "conj", r"S\NP", r"(S\NP)/NP", "NP/N", "S/NP", r"S\S", r"(S\S)/NP", r"(S\NP)\(S\NP)")
+]
+# a state node is never a raise
+_STATE_KINDS = [None] + [k for k in K if k.arity > 1]
+
+
+@pytest.mark.parametrize("max_steps", [1, 2, 3])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_reductions_match_the_product_over_each_nodes_ways(normalize, max_steps):
+    rng = random.Random(10 * max_steps + normalize)
+    cfg = RuleConfig(enabled=frozenset(K), normalize=normalize, max_steps=max_steps)
+    reducible = 0
+    for _ in range(20):
+        tables = ccgplan.engine._Tables(cfg, max_steps)
+        for _ in range(40):
+            cats = [rng.choice(_NODE_CATS) for _ in range(rng.choice((2, 3)))]
+            if len(cats) == 3 and rng.random() < 0.5:
+                cats[1:] = [C("conj"), cats[0]]
+            key = tuple(
+                tables.node(cat, rng.choice(_STATE_KINDS), rng.choice((0, rng.randint(0, max_steps)))) for cat in cats
+            )
+            found = tables.reductions(key)
+            assert found == _reference_reductions(tables, key), [tables.nodes[nid] for nid in key]
+            reducible += bool(found)
+    assert reducible > 100
 
 
 @pytest.mark.parametrize(

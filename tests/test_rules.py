@@ -12,6 +12,8 @@ from ccgplan import (
     RuleConfig,
     RuleConfigError,
     binary_instances,
+    bwd,
+    fwd,
     kind_from_name,
     load_rule_config,
     parse_category,
@@ -19,7 +21,7 @@ from ccgplan import (
     ternary_instances,
     unary_instances,
 )
-from ccgplan.rules import RAISE_KINDS, valid_instance
+from ccgplan.rules import RAISE_KINDS, RuleInstance, _binary_output, valid_instance
 
 C = parse_category
 ALL_KINDS = frozenset(CombinatorKind)
@@ -135,6 +137,24 @@ def test_applications_and_compositions_emit_at_most_one(l, r):
         CombinatorKind.BWD_COMP,
     ):
         assert sum(1 for i in instances if i.kind == kind) <= 1
+
+
+@given(_cats, _cats, _cats, st.integers(0, 6), st.sets(st.sampled_from(list(CombinatorKind)), min_size=1))
+def test_binary_instances_try_every_enabled_kind_in_row_order(a, b, c, shape, enabled):
+    # pairs shaped for each schema, and unrelated ones
+    l, r = [
+        (a, b),
+        (fwd(a, b), b),
+        (b, bwd(a, b)),
+        (fwd(a, b), fwd(b, c)),
+        (bwd(b, c), bwd(a, b)),
+        (fwd(b, c), bwd(a, b)),
+        (fwd(b, c), fwd(bwd(a, b), c)),
+    ][shape]
+    cfg = RuleConfig(enabled=enabled)
+    rows = [k for k in CombinatorKind if k.arity == 2 and k in enabled]
+    expected = [RuleInstance(k, out) for k in rows for out in [_binary_output(k, l, r)] if out is not None]
+    assert binary_instances(l, r, cfg) == expected
 
 
 def test_config_invariants():
