@@ -29,43 +29,26 @@ class CategoryError(ValueError):
 # of its parts: interned parts are one object per structure, and a functor
 # keeps its parts, and so their ids, alive. Text would not do as a key,
 # since ``Functor(A, Atom("B/C"))`` and ``Functor(Atom("A/B"), C)`` print
-# alike. The table holds its categories weakly, so a category lives only
-# while something else refers to it. A lookup that misses takes the lock
-# and looks again, so two threads never build two objects for one
+# alike. The table is a ``weakref.WeakValueDictionary``, so a category lives
+# only while something else refers to it, and its entry goes when it dies
+# unless a new category has taken the key. A lookup that misses takes the
+# lock and looks again, so two threads never build two objects for one
 # structure. Pickle, ``copy`` and ``deepcopy`` rebuild through the
 # constructor and so return the interned object. Each category holds its
 # canonical text, built once from its parts' text, for printing.
-
-
-class _Entry(weakref.ref):
-    """The intern table's weak reference to a category, holding its key."""
-
-    __slots__ = ("key",)
-
-
-_interned: dict[object, _Entry] = {}
-# reentrant: an entry's callback may run in a thread that holds the lock
-_intern_lock = threading.RLock()
-
-
-def _forget(entry: _Entry, table=_interned, lock=_intern_lock) -> None:
-    """Drop a dead category's entry, unless a new one has replaced it."""
-    with lock:
-        if table.get(entry.key) is entry:
-            del table[entry.key]
+_interned: "weakref.WeakValueDictionary[object, Category]" = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()
 
 
 def _intern(cls, key, **fields) -> "Category":
     """The interned category for ``key``, built from ``fields`` on a miss."""
     with _intern_lock:
-        entry = _interned.get(key)
-        c = None if entry is None else entry()
+        c = _interned.get(key)
         if c is None:
             c = object.__new__(cls)
             for name, value in fields.items():
                 object.__setattr__(c, name, value)
-            entry = _interned[key] = _Entry(c, _forget)
-            entry.key = key
+            _interned[key] = c
     return c
 
 
@@ -74,8 +57,7 @@ class Atom:
     name: str
 
     def __new__(cls, name: str) -> "Atom":
-        entry = _interned.get(name)
-        c = None if entry is None else entry()
+        c = _interned.get(name)
         return c if c is not None else _intern(cls, name, name=name, _text=name)
 
     def __reduce__(self):
@@ -90,8 +72,7 @@ class Functor:
 
     def __new__(cls, result: "Category", arg: "Category", forward: bool) -> "Functor":
         key = (id(result), id(arg), forward)
-        entry = _interned.get(key)
-        c = None if entry is None else entry()
+        c = _interned.get(key)
         if c is None:
             slash = "/" if forward else "\\"
             text = f"{_wrap(result)}{slash}{_wrap(arg)}"

@@ -53,7 +53,6 @@ class CombinatorKind(Enum):
 
 
 RAISE_KINDS = frozenset(k for k in CombinatorKind if k.arity == 1)
-_BINARY_KINDS = tuple(k for k in CombinatorKind if k.arity == 2)
 DEFAULT_RULES = frozenset(k for k in CombinatorKind if k.on_by_default)
 
 DEFAULT_RAISE_TARGETS = (
@@ -163,72 +162,62 @@ def _raise_output(kind: CombinatorKind, c: Category, target: Category) -> Catego
     return bwd(target, fwd(target, c))
 
 
-# The slash each binary kind needs on its (left, right) input: True forward,
-# False backward, None any category. ``_binary_output`` states the schemas;
-# this only lets ``binary_instances`` skip the kinds a pair cannot fit.
-_SLASHES = {
-    CombinatorKind.FWD_APPL: (True, None),
-    CombinatorKind.BWD_APPL: (None, False),
-    CombinatorKind.FWD_COMP: (True, True),
-    CombinatorKind.BWD_COMP: (False, False),
-    CombinatorKind.BWD_XCOMP: (True, False),
-    CombinatorKind.BWD_XSUBST: (True, True),
-}
-
-
 def _slash(c: Category) -> bool | None:
     """True for a forward functor, False for a backward one, None for an atom."""
     return c.forward if c.__class__ is Functor else None
 
 
-# binary kinds by the (left, right) inputs' ``_slash``, in row order
-_KINDS_BY_SLASHES = {
-    (l, r): tuple(k for k in _BINARY_KINDS if _SLASHES[k][0] in (None, l) and _SLASHES[k][1] in (None, r))
-    for l in (True, False, None)
-    for r in (True, False, None)
+# The one statement in code of each binary schema in the module docstring:
+# the slash its (left, right) inputs need, as ``_slash`` gives it (None: any
+# category), and its output from inputs with those slashes, or None if their
+# parts do not fit.
+_BINARY_SCHEMAS = {
+    CombinatorKind.FWD_APPL: (True, None, lambda l, r: l.result if l.arg == r else None),
+    CombinatorKind.BWD_APPL: (None, False, lambda l, r: r.result if r.arg == l else None),
+    CombinatorKind.FWD_COMP: (True, True, lambda l, r: fwd(l.result, r.arg) if l.arg == r.result else None),
+    CombinatorKind.BWD_COMP: (False, False, lambda l, r: bwd(r.result, l.arg) if r.arg == l.result else None),
+    CombinatorKind.BWD_XCOMP: (True, False, lambda l, r: fwd(r.result, l.arg) if r.arg == l.result else None),
+    CombinatorKind.BWD_XSUBST: (
+        True,
+        True,
+        lambda l, r: (
+            fwd(r.result.result, l.arg)
+            if r.arg == l.arg and _slash(r.result) is False and r.result.arg == l.result
+            else None
+        ),
+    ),
+}
+
+# (kind, output) of the binary kinds whose slashes fit, by the (left, right)
+# inputs' ``_slash``, in row order
+_BINARY_BY_SLASHES = {
+    (ls, rs): tuple(
+        (kind, output)
+        for kind in CombinatorKind
+        if kind.arity == 2
+        for left, right, output in [_BINARY_SCHEMAS[kind]]
+        if left in (None, ls) and right in (None, rs)
+    )
+    for ls in (True, False, None)
+    for rs in (True, False, None)
 }
 
 
 def binary_instances(l: Category, r: Category, cfg: RuleConfig) -> list[RuleInstance]:
     """All enabled binary instances matching the pair, in the order of the kinds' rows."""
     out = []
-    for kind in _KINDS_BY_SLASHES[_slash(l), _slash(r)]:
-        if kind not in cfg.enabled:
-            continue
-        output = _binary_output(kind, l, r)
-        if output is not None:
-            out.append(RuleInstance(kind, output))
+    for kind, output in _BINARY_BY_SLASHES[_slash(l), _slash(r)]:
+        if kind in cfg.enabled:
+            c = output(l, r)
+            if c is not None:
+                out.append(RuleInstance(kind, c))
     return out
 
 
 def _binary_output(kind: CombinatorKind, l: Category, r: Category) -> Category | None:
-    if kind is CombinatorKind.FWD_APPL:
-        if isinstance(l, Functor) and l.forward and l.arg == r:
-            return l.result
-    elif kind is CombinatorKind.BWD_APPL:
-        if isinstance(r, Functor) and not r.forward and r.arg == l:
-            return r.result
-    elif kind is CombinatorKind.FWD_COMP:
-        if isinstance(l, Functor) and l.forward and isinstance(r, Functor) and r.forward and l.arg == r.result:
-            return fwd(l.result, r.arg)
-    elif kind is CombinatorKind.BWD_COMP:
-        if isinstance(l, Functor) and not l.forward and isinstance(r, Functor) and not r.forward and r.arg == l.result:
-            return bwd(r.result, l.arg)
-    elif kind is CombinatorKind.BWD_XCOMP:
-        if isinstance(l, Functor) and l.forward and isinstance(r, Functor) and not r.forward and r.arg == l.result:
-            return fwd(r.result, l.arg)
-    elif kind is CombinatorKind.BWD_XSUBST:
-        if (
-            isinstance(l, Functor)
-            and l.forward
-            and isinstance(r, Functor)
-            and r.forward
-            and r.arg == l.arg
-            and isinstance(r.result, Functor)
-            and not r.result.forward
-            and r.result.arg == l.result
-        ):
-            return fwd(r.result.result, l.arg)
+    for k, output in _BINARY_BY_SLASHES[_slash(l), _slash(r)]:
+        if k is kind:
+            return output(l, r)
     return None
 
 

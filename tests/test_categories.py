@@ -207,7 +207,7 @@ def test_a_dropped_category_leaves_the_intern_table():
     c = fwd(Atom("Dropped"), Atom("Dropped2"))
     key = (id(c.result), id(c.arg), True)
     alive = weakref.ref(c)
-    assert ccgplan.categories._interned[key]() is c
+    assert ccgplan.categories._interned[key] is c
     del c
     gc.collect()
     assert alive() is None

@@ -1,4 +1,5 @@
 import pickle
+from itertools import repeat
 
 import pytest
 from hypothesis import given
@@ -155,6 +156,60 @@ def test_binary_instances_try_every_enabled_kind_in_row_order(a, b, c, shape, en
     rows = [k for k in CombinatorKind if k.arity == 2 and k in enabled]
     expected = [RuleInstance(k, out) for k in rows for out in [_binary_output(k, l, r)] if out is not None]
     assert binary_instances(l, r, cfg) == expected
+
+
+# README's Schema column, with A, B and C as pattern variables: an
+# independent statement of the binary schemas that ``binary_instances`` reads
+# from its own rows
+_README_SCHEMAS = {
+    CombinatorKind.FWD_APPL: ("A/B", "B", "A"),
+    CombinatorKind.BWD_APPL: ("B", r"A\B", "A"),
+    CombinatorKind.FWD_COMP: ("A/B", "B/C", "A/C"),
+    CombinatorKind.BWD_COMP: (r"B\C", r"A\B", r"A\C"),
+    CombinatorKind.BWD_XCOMP: ("B/C", r"A\B", "A/C"),
+    CombinatorKind.BWD_XSUBST: ("B/C", r"(A\B)/C", "A/C"),
+}
+
+
+def _unify(pattern, c, env) -> bool:
+    """Whether ``pattern`` matches ``c``, binding its variables in ``env`` consistently."""
+    if isinstance(pattern, Atom):
+        return env.setdefault(pattern.name, c) == c
+    return (
+        isinstance(c, Functor)
+        and c.forward == pattern.forward
+        and _unify(pattern.result, c.result, env)
+        and _unify(pattern.arg, c.arg, env)
+    )
+
+
+def _substitute(pattern, env, flips):
+    """``pattern`` with its variables bound from ``env``, reversing each slash
+    for which the iterator ``flips`` yields True."""
+    if isinstance(pattern, Atom):
+        return env[pattern.name]
+    forward = pattern.forward != next(flips)
+    return Functor(_substitute(pattern.result, env, flips), _substitute(pattern.arg, env, flips), forward)
+
+
+@pytest.mark.parametrize("shape", [None, *_README_SCHEMAS], ids=lambda k: "unrelated" if k is None else k.symbol)
+@given(_cats, _cats, _cats, st.sampled_from([None, 0, 1, 2]), st.sets(st.sampled_from(list(CombinatorKind)), min_size=1))
+def test_binary_instances_match_the_readme_schemas(shape, a, b, c, flip, enabled):
+    # a pair built from one schema's inputs, with at most one slash reversed, or an unrelated pair
+    env = {"A": a, "B": b, "C": c}
+    if shape is None:
+        l, r = a, b
+    else:
+        flips = iter([i == flip for i in range(3)])
+        l, r = (_substitute(C(p), env, flips) for p in _README_SCHEMAS[shape][:2])
+    expected = []
+    for kind in CombinatorKind:
+        if kind in enabled and kind in _README_SCHEMAS:
+            left, right, output = (C(p) for p in _README_SCHEMAS[kind])
+            match = {}
+            if _unify(left, l, match) and _unify(right, r, match):
+                expected.append(RuleInstance(kind, _substitute(output, match, repeat(False))))
+    assert binary_instances(l, r, RuleConfig(enabled=enabled)) == expected
 
 
 def test_config_invariants():
