@@ -31,23 +31,30 @@ residue item under best-effort.
 Strict and best-effort parsing differ only in their goal, so one
 memoized search serves both. It maps a state to the fewest items it
 reduces to and every packed sub-derivation reaching them: with a target
-category, one item of that category; without one, any residue, each
-item as it stands or raised. Nodes, the (category, producing
-combinator, height) of an item, are interned to ints, and a state is the
-tuple of its items' node ids. Reductions reaching the same state share
-its memo entry, so commutative action orders are explored once; the memo
-depends on the target and belongs to one search. What an adjacent pair
-of nodes (or triple, under coordination) can reduce to depends on those
-nodes, the rule configuration and the height bound alone, so it is
-computed once and reused in every state where they are adjacent. Below
-that sits the rule work of a category pair (or triple): every rule over
-it with each input as it stands or raised, computed once, so a node pair
-only filters that list by height and by the normal-form bans. Categories
-are interned, so the tables hash and compare them by identity. A
-sentence's candidate combinations all have its length, so ``parse_all``
-builds these tables once and its searches, one per combination, share
-them. The trees found are exactly those denoted by admissible canonical
-plans; ``canonical_plan`` rebuilds the concurrent plan for any of them.
+category, one item of that category; without one, any residue, each item
+as it stands or raised. Nodes, the (category, producing combinator,
+height) of an item, are interned to ints, and a state is the tuple of
+its items' node ids. Reductions reaching the same state share its memo
+entry, so commutative action orders are explored once; the memo depends
+on the target and belongs to one search. What an adjacent pair of nodes
+(or triple, under coordination) can reduce to depends on those nodes,
+the rule configuration and the height bound alone, so it is computed
+once and reused in every state where they are adjacent. Below that sits
+the rule work of a category pair (or triple): every rule over it with
+each input as it stands or raised, computed once, so a node pair only
+filters that list by height and by the normal-form bans. That list is
+found by lookup, not by trying each combination of raises:
+``rules.joined_instances`` indexes the right input's variants, as it
+stands and each raise, by the part each schema needs to match, and each
+left variant looks its own part up, so only combinations whose parts are
+the same category reach a schema's output. A tuple none of whose
+categories can be raised takes the rule instances of its categories as
+they stand. Categories are interned, so the tables and the join hash and
+compare them by identity. A sentence's candidate combinations all have
+its length, so ``parse_all`` builds these tables once and its searches,
+one per combination, share them. The trees found are exactly those
+denoted by admissible canonical plans; ``canonical_plan`` rebuilds the
+concurrent plan for any of them.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from .rules import (
     RuleInstance,
     binary_instances,
     blocked,
+    joined_instances,
     ternary_instances,
     unary_instances,
     valid_instance,
@@ -220,13 +228,16 @@ class _Tables:
     id plus the list of nodes by id. The rule work has three levels, each
     computed once: the rule instances of a category, pair or triple, as
     the rule functions return them; for each category tuple, its raised
-    rules, every instance over its inputs as they stand or raised; and for
-    each node tuple, its reductions, the raised rules that fit the height
-    bound and the normal-form bans. The rule functions are looked up in
-    this module's globals at each call. No entry depends on a search's
-    start state or target, so every search over sentences of one length
-    may share a table set: ``parse_all`` builds one per call, doing the
-    rule work once for all of its combinations.
+    rules, every instance over its inputs as they stand or raised, which
+    ``joined_instances`` finds with one hash join per schema over the
+    inputs' raises, or which are the tuple's own instances when no input
+    can be raised; and for each node tuple, its reductions, the raised
+    rules that fit the height bound and the normal-form bans. The rule
+    functions are looked up in this module's globals at each call. No
+    entry depends on a search's start state or target, so every search
+    over sentences of one length may share a table set: ``parse_all``
+    builds one per call, doing the rule work once for all of its
+    combinations.
     """
 
     def __init__(self, cfg: RuleConfig, limit: int):
@@ -279,13 +290,22 @@ class _Tables:
         """Every rule over a category pair (or triple, for coordination)
         with its inputs as they stand or raised, as (raise or None per
         input, combinator, output category), in the order of the raise
-        combinations and then of the rule instances."""
+        combinations and then of the rule instances. ``joined_instances``
+        finds them with one hash join per schema; a tuple none of whose
+        categories can be raised takes its instances as they stand."""
         found = self.raised.get(cats)
         if found is None:
-            found = []
-            for raises in product(*([None] + self.instances((cat,)) for cat in cats)):
-                inputs = tuple([cat if r is None else r.output for cat, r in zip(cats, raises)])
-                found += [(raises, kind, out) for kind, out in self.instances(inputs)]
+            raises = [self.instances((cat,)) for cat in cats]
+            if any(raises):
+                ways = [[None, *rs] for rs in raises]
+                variants = [[cat, *[r.output for r in rs]] for cat, rs in zip(cats, raises)]
+                found = [
+                    (tuple([w[i] for w, i in zip(ways, picks)]), kind, out)
+                    for picks, kind, out in joined_instances(variants, self.cfg)
+                ]
+            else:
+                plain = (None,) * len(cats)
+                found = [(plain, kind, out) for kind, out in self.instances(cats)]
             self.raised[cats] = found
         return found
 
@@ -299,10 +319,16 @@ class _Tables:
             return found
         found = []
         nodes = [self.nodes[nid] for nid in key]
+        plain = 1 + max([h for _, _, h in nodes])
         # raising an input only adds to its height, so if the plain inputs
         # do not fit, nothing does
-        if 1 + max([h for _, _, h in nodes]) <= self.limit:
+        if plain <= self.limit:
+            left, right = nodes[0][1], nodes[-1][1]
             for raises, kind, out in self.raised_rules(tuple([cat for cat, _, _ in nodes])):
+                if not any(raises):
+                    if not blocked(kind, left, right, self.cfg):
+                        found.append((self.node(out, kind, plain), raises))
+                    continue
                 inputs = [n if r is None else (r.output, r.kind, n[2] + 1) for n, r in zip(nodes, raises)]
                 height = 1 + max([h for _, _, h in inputs])
                 if height > self.limit or blocked(kind, inputs[0][1], inputs[-1][1], self.cfg):

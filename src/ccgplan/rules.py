@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal, NamedTuple
+from operator import attrgetter, itemgetter
+from typing import Literal, NamedTuple, Sequence
 
 from .categories import Atom, Category, CategoryError, Functor, bwd, fwd, parse_category, print_category
 
@@ -103,6 +104,15 @@ class RuleConfig:
             if self.max_steps < 1:
                 raise ValueError("max_steps must be >= 1")
 
+    def __repr__(self) -> str:
+        # ``enabled`` in row order: kinds hash by identity, so a frozenset
+        # of them iterates in an order that changes from process to process
+        enabled = ", ".join([repr(k) for k in CombinatorKind if k in self.enabled])
+        return (
+            f"RuleConfig(enabled=frozenset({{{enabled}}}), raise_targets={self.raise_targets!r}, "
+            f"normalize={self.normalize!r}, max_steps={self.max_steps!r})"
+        )
+
 
 @dataclass(frozen=True)
 class ParseGoal:
@@ -167,35 +177,45 @@ def _slash(c: Category) -> bool | None:
     return c.forward if c.__class__ is Functor else None
 
 
+def _self(c: Category) -> Category:
+    return c
+
+
+_arg = attrgetter("arg")
+_result = attrgetter("result")
+
 # The one statement in code of each binary schema in the module docstring:
 # the slash its (left, right) inputs need, as ``_slash`` gives it (None: any
-# category), and its output from inputs with those slashes, or None if their
-# parts do not fit.
+# category); the part of each input that must be the same category as the
+# other's part, by identity, since categories are interned; and its output
+# from inputs whose slashes and key parts match, or None if a further
+# condition fails. ``binary_instances`` checks one pair against the rows;
+# ``joined_instances`` joins lists of variants on the key parts.
 _BINARY_SCHEMAS = {
-    CombinatorKind.FWD_APPL: (True, None, lambda l, r: l.result if l.arg == r else None),
-    CombinatorKind.BWD_APPL: (None, False, lambda l, r: r.result if r.arg == l else None),
-    CombinatorKind.FWD_COMP: (True, True, lambda l, r: fwd(l.result, r.arg) if l.arg == r.result else None),
-    CombinatorKind.BWD_COMP: (False, False, lambda l, r: bwd(r.result, l.arg) if r.arg == l.result else None),
-    CombinatorKind.BWD_XCOMP: (True, False, lambda l, r: fwd(r.result, l.arg) if r.arg == l.result else None),
+    CombinatorKind.FWD_APPL: (True, None, _arg, _self, lambda l, r: l.result),
+    CombinatorKind.BWD_APPL: (None, False, _self, _arg, lambda l, r: r.result),
+    CombinatorKind.FWD_COMP: (True, True, _arg, _result, lambda l, r: fwd(l.result, r.arg)),
+    CombinatorKind.BWD_COMP: (False, False, _result, _arg, lambda l, r: bwd(r.result, l.arg)),
+    CombinatorKind.BWD_XCOMP: (True, False, _result, _arg, lambda l, r: fwd(r.result, l.arg)),
     CombinatorKind.BWD_XSUBST: (
         True,
         True,
+        _arg,
+        _arg,
         lambda l, r: (
-            fwd(r.result.result, l.arg)
-            if r.arg == l.arg and _slash(r.result) is False and r.result.arg == l.result
-            else None
+            fwd(r.result.result, l.arg) if _slash(r.result) is False and r.result.arg is l.result else None
         ),
     ),
 }
 
-# (kind, output) of the binary kinds whose slashes fit, by the (left, right)
-# inputs' ``_slash``, in row order
+# (kind, left key, right key, output) of the binary kinds whose slashes fit,
+# by the (left, right) inputs' ``_slash``, in row order
 _BINARY_BY_SLASHES = {
     (ls, rs): tuple(
-        (kind, output)
+        (kind, lkey, rkey, output)
         for kind in CombinatorKind
         if kind.arity == 2
-        for left, right, output in [_BINARY_SCHEMAS[kind]]
+        for left, right, lkey, rkey, output in [_BINARY_SCHEMAS[kind]]
         if left in (None, ls) and right in (None, rs)
     )
     for ls in (True, False, None)
@@ -206,8 +226,8 @@ _BINARY_BY_SLASHES = {
 def binary_instances(l: Category, r: Category, cfg: RuleConfig) -> list[RuleInstance]:
     """All enabled binary instances matching the pair, in the order of the kinds' rows."""
     out = []
-    for kind, output in _BINARY_BY_SLASHES[_slash(l), _slash(r)]:
-        if kind in cfg.enabled:
+    for kind, lkey, rkey, output in _BINARY_BY_SLASHES[_slash(l), _slash(r)]:
+        if kind in cfg.enabled and lkey(l) is rkey(r):
             c = output(l, r)
             if c is not None:
                 out.append(RuleInstance(kind, c))
@@ -215,10 +235,65 @@ def binary_instances(l: Category, r: Category, cfg: RuleConfig) -> list[RuleInst
 
 
 def _binary_output(kind: CombinatorKind, l: Category, r: Category) -> Category | None:
-    for k, output in _BINARY_BY_SLASHES[_slash(l), _slash(r)]:
+    for k, lkey, rkey, output in _BINARY_BY_SLASHES[_slash(l), _slash(r)]:
         if k is kind:
-            return output(l, r)
+            return output(l, r) if lkey(l) is rkey(r) else None
     return None
+
+
+def joined_instances(
+    variants: Sequence[Sequence[Category]], cfg: RuleConfig
+) -> list[tuple[tuple[int, ...], CombinatorKind, Category]]:
+    """Every enabled instance over one variant of each input, for two
+    inputs, or three under coordination, as (variant index per input,
+    combinator, output category): what ``binary_instances`` or
+    ``ternary_instances`` returns for each combination of variants, in the
+    order of ``itertools.product`` over the variant lists and then of the
+    kinds' rows.
+
+    Each schema is one hash join: the right variants whose slash fits are
+    indexed by the schema's key part, and each left variant whose slash
+    fits looks its own key part up, so combinations whose parts differ are
+    never tried."""
+    if len(variants) == 3:
+        return _coord_join(*variants, cfg)
+    left, right = variants
+    left_slashes = [_slash(c) for c in left]
+    right_slashes = [_slash(c) for c in right]
+    found = []
+    for kind in CombinatorKind:
+        if kind.arity != 2 or kind not in cfg.enabled:
+            continue
+        ls, rs, lkey, rkey, output = _BINARY_SCHEMAS[kind]
+        index: dict[Category, list[int]] = {}
+        for j, c in enumerate(right):
+            if rs is None or right_slashes[j] == rs:
+                index.setdefault(rkey(c), []).append(j)
+        if not index:
+            continue
+        for i, c in enumerate(left):
+            if ls is None or left_slashes[i] == ls:
+                for j in index.get(lkey(c), ()):
+                    out = output(c, right[j])
+                    if out is not None:
+                        found.append(((i, j), kind, out))
+    # a stable sort: within one combination of variants, the rows stay in order
+    found.sort(key=itemgetter(0))
+    return found
+
+
+def _coord_join(left, middle, right, cfg: RuleConfig):
+    """``joined_instances`` for X conj X => X: the middle variant is conj,
+    and the left variant is the right one."""
+    conj = [k for k, c in enumerate(middle) if c is _CONJ] if CombinatorKind.COORD in cfg.enabled else []
+    if not conj:
+        return []
+    index: dict[Category, list[int]] = {}
+    for j, c in enumerate(right):
+        index.setdefault(c, []).append(j)
+    return [
+        ((i, k, j), CombinatorKind.COORD, c) for i, c in enumerate(left) for k in conj for j in index.get(c, ())
+    ]
 
 
 def ternary_instances(l: Category, m: Category, r: Category, cfg: RuleConfig) -> list[RuleInstance]:

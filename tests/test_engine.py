@@ -301,29 +301,51 @@ PP_LEXICON = "\n".join(
 )
 
 
-@pytest.mark.parametrize("length, normalize, count", [(14, True, 14), (8, False, 524)])
-def test_each_category_pair_is_combined_once_per_search(monkeypatch, length, normalize, count):
-    calls, raised = [], []
-    original, original_unary = ccgplan.engine.binary_instances, ccgplan.engine.unary_instances
+def _record_rule_work(monkeypatch):
+    """Record each category pair the engine passes to ``binary_instances``
+    and each category tuple it joins with its raises through
+    ``joined_instances``, in ``calls``; the joined tuples also go to
+    ``joined``."""
+    calls, joined = [], []
+    original, original_join = ccgplan.engine.binary_instances, ccgplan.engine.joined_instances
 
     def recording(l, r, cfg):
         calls.append((l, r))
         return original(l, r, cfg)
 
+    def recording_join(variants, cfg):
+        # each input's first variant is its category as it stands
+        cats = tuple(v[0] for v in variants)
+        calls.append(cats)
+        joined.append(cats)
+        return original_join(variants, cfg)
+
+    monkeypatch.setattr(ccgplan.engine, "binary_instances", recording)
+    monkeypatch.setattr(ccgplan.engine, "joined_instances", recording_join)
+    return calls, joined
+
+
+@pytest.mark.parametrize("length, normalize, count", [(14, True, 14), (8, False, 524)])
+def test_each_category_pair_is_combined_once_per_search(monkeypatch, length, normalize, count):
+    calls, joined = _record_rule_work(monkeypatch)
+    raised = []
+    original_unary = ccgplan.engine.unary_instances
+
     def recording_unary(c, cfg):
         raised.append(c)
         return original_unary(c, cfg)
 
-    monkeypatch.setattr(ccgplan.engine, "binary_instances", recording)
     monkeypatch.setattr(ccgplan.engine, "unary_instances", recording_unary)
     ts = tag_with_lexicon(PP_WORDS[:length], load_lexicon(PP_LEXICON))
     trees = set()
     for combo in product(*(tok.candidates for tok in ts.tokens)):
         calls.clear()
+        joined.clear()
         raised.clear()
         trees |= enumerate_parses([c.cat for c in combo], RuleConfig(normalize=normalize), ParseGoal.strict())
         repeated = [pair for pair, times in Counter(calls).items() if times > 1]
         assert calls and not repeated, f"{len(repeated)} category pairs combined more than once"
+        assert joined, "no category pair was matched with its raises"
         repeated = [c for c, times in Counter(raised).items() if times > 1]
         assert raised and not repeated, f"{len(repeated)} categories raised more than once"
     assert len(trees) == count
@@ -389,20 +411,14 @@ def test_reductions_match_the_product_over_each_nodes_ways(normalize, max_steps)
     ],
 )
 def test_each_category_pair_is_combined_once_per_parse_all(monkeypatch, length, cfg, goal, combos):
-    calls = []
-    original = ccgplan.engine.binary_instances
-
-    def recording(l, r, cfg):
-        calls.append((l, r))
-        return original(l, r, cfg)
-
-    monkeypatch.setattr(ccgplan.engine, "binary_instances", recording)
+    calls, joined = _record_rule_work(monkeypatch)
     ts = tag_with_lexicon(PP_WORDS[:length], load_lexicon(PP_LEXICON))
     assert math.prod(len(tok.candidates) for tok in ts.tokens) == combos
     found = parse_all(ts, cfg, goal)
     repeated = [pair for pair, times in Counter(calls).items() if times > 1]
     assert calls
     assert not repeated, f"{len(repeated)} category pairs combined more than once"
+    assert joined, "no category pair was matched with its raises"
     assert found if goal.target is not None else found[1]
 
 

@@ -1,5 +1,9 @@
+import os
 import pickle
-from itertools import repeat
+import subprocess
+import sys
+from itertools import product, repeat
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -22,7 +26,7 @@ from ccgplan import (
     ternary_instances,
     unary_instances,
 )
-from ccgplan.rules import RAISE_KINDS, RuleInstance, _binary_output, valid_instance
+from ccgplan.rules import RAISE_KINDS, RuleInstance, _binary_output, joined_instances, valid_instance
 
 C = parse_category
 ALL_KINDS = frozenset(CombinatorKind)
@@ -202,14 +206,49 @@ def test_binary_instances_match_the_readme_schemas(shape, a, b, c, flip, enabled
     else:
         flips = iter([i == flip for i in range(3)])
         l, r = (_substitute(C(p), env, flips) for p in _README_SCHEMAS[shape][:2])
-    expected = []
+    assert binary_instances(l, r, RuleConfig(enabled=enabled)) == _readme_instances(l, r, enabled)
+
+
+def _readme_instances(l, r, enabled) -> list[RuleInstance]:
+    """The enabled binary instances over a pair by README's Schema column, in row order."""
+    found = []
     for kind in CombinatorKind:
         if kind in enabled and kind in _README_SCHEMAS:
             left, right, output = (C(p) for p in _README_SCHEMAS[kind])
             match = {}
             if _unify(left, l, match) and _unify(right, r, match):
-                expected.append(RuleInstance(kind, _substitute(output, match, repeat(False))))
-    assert binary_instances(l, r, RuleConfig(enabled=enabled)) == expected
+                found.append(RuleInstance(kind, _substitute(output, match, repeat(False))))
+    return found
+
+
+# variants for the join: plain categories of both slashes, raises of ``NP``
+# and ``S`` to ``S``, and ``conj``; ``S/NP`` with ``(S\NP)/NP`` or with
+# ``(S/NP)/NP`` fits ``<Sx``'s key parts but not its further condition
+_VARIANT_POOL = [
+    C(c)
+    for c in ["S", "NP", "conj", r"S\NP", "S/NP", r"(S\NP)/NP", r"S\S", r"(S\S)/NP", "NP/NP", "(S/NP)/NP"]
+    + [r"S/(S\NP)", r"S\(S/NP)", r"S/(S\S)", r"S\(S/S)"]
+]
+_variants = st.lists(st.sampled_from(_VARIANT_POOL), min_size=1, max_size=6)
+
+
+@given(st.lists(_variants, min_size=2, max_size=3), st.sets(st.sampled_from(list(CombinatorKind)), min_size=1))
+def test_joined_instances_equal_the_loop_over_every_combination(variants, enabled):
+    cfg = RuleConfig(enabled=enabled)
+    rule = binary_instances if len(variants) == 2 else ternary_instances
+    expected = [
+        (picks, kind, out)
+        for picks in product(*[range(len(v)) for v in variants])
+        for kind, out in rule(*[v[i] for v, i in zip(variants, picks)], cfg)
+    ]
+    assert joined_instances(variants, cfg) == expected
+    if len(variants) == 2:
+        # the rows the join and ``binary_instances`` share, against README's templates
+        assert expected == [
+            (picks, kind, out)
+            for picks in product(*[range(len(v)) for v in variants])
+            for kind, out in _readme_instances(*[v[i] for v, i in zip(variants, picks)], enabled)
+        ]
 
 
 def test_config_invariants():
@@ -233,6 +272,20 @@ def test_config_invariants():
 def test_config_rejects_a_malformed_value(fields, message):
     with pytest.raises(ValueError, match=message):
         RuleConfig(**fields)
+
+
+def test_config_repr_lists_enabled_kinds_in_row_order():
+    # kinds hash by identity, so a frozenset of them iterates in an order
+    # that may differ between processes; the repr must not
+    code = "from ccgplan import CombinatorKind, RuleConfig; print(repr(RuleConfig(enabled=frozenset(CombinatorKind))))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    first, second = (
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+        for _ in range(2)
+    )
+    assert first == second
+    assert first.startswith(f"RuleConfig(enabled=frozenset({{{', '.join(repr(k) for k in CombinatorKind)}}}), ")
+    assert repr(RuleConfig(enabled=frozenset(CombinatorKind))) == first.rstrip("\n")
 
 
 def test_a_goal_is_its_target():
