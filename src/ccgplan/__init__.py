@@ -1,10 +1,11 @@
 """CCG parsing as canonical plan search.
 
-Sentences become sequences of position-annotated categories; combinator
-instances act on adjacent positions; enumeration finds every derivation
-denoted by a canonical concurrent plan, with declarative normal-form bans
-removing spurious duplicates. A brute-force chart parser cross-checks the
-engine, and derivations render as text, JSON, or DOT.
+A sentence's categories, one candidate combination at a time, are reduced
+by combinator instances on adjacent constituents; the search finds every
+derivation whose canonical concurrent plan reaches the goal within the step
+bound, with normal-form bans removing spurious duplicates, and
+``canonical_plan`` rebuilds that plan for any tree. A chart parser
+cross-checks the search, and derivations render as text, JSON, or DOT.
 """
 
 from types import ModuleType as _ModuleType
@@ -21,19 +22,13 @@ from .categories import (
 )
 from .engine import (
     Action,
-    AnnotatedCategory,
-    Asr,
     ParseGoal,
     Plan,
-    applicable_actions,
-    banned,
     best_effort,
     canonical_plan,
     effective_max_steps,
     enumerate_parses,
     parse_all,
-    replay_plan,
-    step,
 )
 from .lexicon import (
     Candidate,

@@ -1,15 +1,5 @@
 """Parsing as plan search over category sequences.
 
-The planning model is the reference semantics the search is checked
-against: an ASR (abstract sentence representation) is an ordered
-sequence of categories, each tagged with a position id. Actions are
-annotated combinator occurrences; applying a set of position-disjoint
-actions is one concurrent step. The effect of an action carries the id
-of its leftmost input, untouched items persist by inertia, and the state
-remembers for each position when and by which combinator it was last
-modified. ``banned`` applies the normal-form constraints to an action
-from that bookkeeping.
-
 The search starts from the categories of one candidate combination, at
 positions 1..n, and builds no planning state. It enumerates canonical
 concurrent plans: within a plan, a category produced at step t that is
@@ -59,14 +49,13 @@ concurrent plan for any of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .categories import Category
 from .lexicon import TaggedSentence
 from .rules import (
-    RAISE_KINDS,
     CombinatorKind,
     ParseGoal,
     RuleConfig,
@@ -76,43 +65,8 @@ from .rules import (
     joined_instances,
     ternary_instances,
     unary_instances,
-    valid_instance,
 )
 from .trees import DerivationTree, Leaf, Node, as_forest, attach_words, tree_height
-
-
-@dataclass(frozen=True)
-class AnnotatedCategory:
-    pos: int
-    cat: Category
-
-
-@dataclass(frozen=True)
-class Asr:
-    """One planning state: items plus modification bookkeeping.
-
-    ``last_affected[p]`` is the state time at which position p last changed
-    (so an action occurring at time t stamps its output with t+1);
-    ``last_action[p]`` is the combinator that produced it. Initial items
-    appear in neither map.
-    """
-
-    items: tuple[AnnotatedCategory, ...]
-    time: int = 0
-    last_affected: Mapping[int, int] = field(default_factory=dict)
-    last_action: Mapping[int, CombinatorKind] = field(default_factory=dict)
-
-    @classmethod
-    def initial(cls, cats: Iterable[Category]) -> "Asr":
-        """The time-0 state of the given categories at positions 1..n."""
-        items = tuple(AnnotatedCategory(i + 1, c) for i, c in enumerate(cats))
-        return cls(items=items)
-
-    def index_of(self, pos: int) -> int:
-        for i, item in enumerate(self.items):
-            if item.pos == pos:
-                return i
-        raise ValueError(f"no item at position {pos}")
 
 
 @dataclass(frozen=True)
@@ -132,79 +86,8 @@ class Plan:
     steps: tuple[frozenset[Action], ...]
 
 
-def step(s: Asr, acts: Iterable[Action]) -> Asr:
-    """Apply one concurrent step and return the successor state.
-
-    The caller guarantees the actions are unbanned; this checks the rest of
-    the contract: the set is non-empty, actions are stamped with the
-    current time, their positions name adjacent items, outputs satisfy
-    their schemas, and no two actions touch the same position.
-    """
-    actions = list(acts)
-    if not actions:
-        raise ValueError("a step must contain at least one action")
-    seen: set[int] = set()
-    for a in actions:
-        if a.time != s.time:
-            raise ValueError(f"action stamped for time {a.time} applied at time {s.time}")
-        indices = [s.index_of(p) for p in a.positions]
-        if indices != list(range(indices[0], indices[0] + len(indices))):
-            raise ValueError(f"positions {a.positions} are not adjacent")
-        cats = tuple(s.items[i].cat for i in indices)
-        if not valid_instance(a.kind, cats, a.output):
-            raise ValueError(f"{a.kind.value} does not map {a.positions} to {a.output}")
-        overlap = seen.intersection(a.positions)
-        if overlap:
-            raise ValueError(f"overlapping actions at positions {sorted(overlap)}")
-        seen.update(a.positions)
-
-    by_left = {a.positions[0]: a for a in actions}
-    consumed = frozenset(p for a in actions for p in a.positions)
-    new_items = []
-    for item in s.items:
-        if item.pos in by_left:
-            new_items.append(AnnotatedCategory(item.pos, by_left[item.pos].output))
-        elif item.pos not in consumed:
-            new_items.append(item)
-    survivors = {item.pos for item in new_items}
-    t1 = s.time + 1
-    last_affected = {p: t for p, t in s.last_affected.items() if p in survivors and p not in by_left}
-    last_action = {p: k for p, k in s.last_action.items() if p in survivors and p not in by_left}
-    for p, a in by_left.items():
-        last_affected[p] = t1
-        last_action[p] = a.kind
-    return Asr(items=tuple(new_items), time=t1, last_affected=last_affected, last_action=last_action)
-
-
 def effective_max_steps(cfg: RuleConfig, sentence_length: int) -> int:
     return cfg.max_steps if cfg.max_steps is not None else sentence_length + 2
-
-
-def applicable_actions(s: Asr, cfg: RuleConfig) -> tuple[Action, ...]:
-    """Schema-applicable, unbanned actions in a state, left to right."""
-    out: list[Action] = []
-    for item in s.items:
-        producer = s.last_action.get(item.pos)
-        if all(blocked(kind, producer, None, cfg) for kind in RAISE_KINDS):
-            continue  # no raise may consume this item: build none
-        for kind, output in unary_instances(item.cat, cfg):
-            out.append(Action(kind, (item.pos,), output, s.time))
-    for i in range(len(s.items) - 1):
-        l, r = s.items[i], s.items[i + 1]
-        for kind, output in binary_instances(l.cat, r.cat, cfg):
-            out.append(Action(kind, (l.pos, r.pos), output, s.time))
-    for i in range(len(s.items) - 2):
-        a, b, c = s.items[i], s.items[i + 1], s.items[i + 2]
-        for kind, output in ternary_instances(a.cat, b.cat, c.cat, cfg):
-            out.append(Action(kind, (a.pos, b.pos, c.pos), output, s.time))
-    return tuple(a for a in out if not banned(a, s, cfg))
-
-
-def banned(a: Action, s: Asr, cfg: RuleConfig) -> bool:
-    """True iff ``rules.blocked`` forbids the action on its inputs' producers."""
-    left = s.last_action.get(a.positions[0])
-    right = s.last_action.get(a.positions[-1]) if len(a.positions) > 1 else None
-    return blocked(a.kind, left, right, cfg)
 
 
 # A search's packed sub-derivations ("recipes") are trees of ints over the
@@ -226,9 +109,9 @@ class _Tables:
 
     Nodes (category, producing combinator, height) are a dict from node to
     id plus the list of nodes by id. The rule work has three levels, each
-    computed once: the rule instances of a category, pair or triple, as
-    the rule functions return them; for each category tuple, its raised
-    rules, every instance over its inputs as they stand or raised, which
+    computed once: the raises of a category, as ``unary_instances``
+    returns them; for each category tuple, its raised rules, every
+    instance over its inputs as they stand or raised, which
     ``joined_instances`` finds with one hash join per schema over the
     inputs' raises, or which are the tuple's own instances when no input
     can be raised; and for each node tuple, its reductions, the raised
@@ -246,7 +129,7 @@ class _Tables:
         self.arities = (2, 3) if CombinatorKind.COORD in cfg.enabled else (2,)
         self.node_ids: dict[tuple[Category, CombinatorKind | None, int], int] = {}
         self.nodes: list[tuple[Category, CombinatorKind | None, int]] = []
-        self.rules: dict[tuple[Category, ...], list[RuleInstance]] = {}
+        self.raises_of: dict[Category, list[RuleInstance]] = {}
         self.raised: dict[tuple[Category, ...], list] = {}
         self.ways_of: dict[int, list[int | None]] = {}
         self.reduced: dict[tuple[int, ...], list[tuple[int, tuple[int | None, ...]]]] = {}
@@ -268,22 +151,16 @@ class _Tables:
             cat, _, height = self.nodes[nid]
             ways = [None]
             if height < self.limit:
-                ways += [self.node(out, kind, height + 1) for kind, out in self.instances((cat,))]
+                ways += [self.node(out, kind, height + 1) for kind, out in self.raises(cat)]
             self.ways_of[nid] = ways
         return ways
 
-    def instances(self, cats: tuple[Category, ...]) -> list[RuleInstance]:
-        """The rule instances over one category (its raises), a pair, or a
-        triple under coordination, as (combinator, output category)."""
-        insts = self.rules.get(cats)
+    def raises(self, cat: Category) -> list[RuleInstance]:
+        """The raise instances of one category, as (combinator, output
+        category)."""
+        insts = self.raises_of.get(cat)
         if insts is None:
-            if len(cats) == 1:
-                insts = unary_instances(*cats, self.cfg)
-            elif len(cats) == 2:
-                insts = binary_instances(*cats, self.cfg)
-            else:
-                insts = ternary_instances(*cats, self.cfg)
-            self.rules[cats] = insts
+            insts = self.raises_of[cat] = unary_instances(cat, self.cfg)
         return insts
 
     def raised_rules(self, cats: tuple[Category, ...]) -> list:
@@ -295,7 +172,7 @@ class _Tables:
         categories can be raised takes its instances as they stand."""
         found = self.raised.get(cats)
         if found is None:
-            raises = [self.instances((cat,)) for cat in cats]
+            raises = [self.raises(cat) for cat in cats]
             if any(raises):
                 ways = [[None, *rs] for rs in raises]
                 variants = [[cat, *[r.output for r in rs]] for cat, rs in zip(cats, raises)]
@@ -305,7 +182,8 @@ class _Tables:
                 ]
             else:
                 plain = (None,) * len(cats)
-                found = [(plain, kind, out) for kind, out in self.instances(cats)]
+                insts = binary_instances(*cats, self.cfg) if len(cats) == 2 else ternary_instances(*cats, self.cfg)
+                found = [(plain, kind, out) for kind, out in insts]
             self.raised[cats] = found
         return found
 
@@ -485,10 +363,3 @@ def canonical_plan(parse: DerivationTree | Sequence[DerivationTree]) -> Plan:
     length = max(by_time) + 1
     return Plan(tuple(frozenset(by_time.get(t, ())) for t in range(length)))
 
-
-def replay_plan(initial: Asr, plan: Plan) -> tuple[Asr, ...]:
-    """Fold a plan's steps over an initial state; returns every state."""
-    states = [initial]
-    for acts in plan.steps:
-        states.append(step(states[-1], acts))
-    return tuple(states)

@@ -10,16 +10,14 @@ no packing: this is the slow reference the engine is checked against.
 
 from ccgplan import (
     Action,
-    Asr,
     Leaf,
     Node,
     ParseGoal,
     Plan,
     RuleConfig,
-    applicable_actions,
     effective_max_steps,
-    step,
 )
+from planning import Asr, applicable_actions, step
 
 
 def _disjoint_subsets(actions):

@@ -8,8 +8,6 @@ import time
 
 from ccgplan import (
     Action,
-    AnnotatedCategory,
-    Asr,
     Atom,
     Candidate,
     CombinatorKind,
@@ -20,13 +18,11 @@ from ccgplan import (
     RuleConfig,
     TaggedSentence,
     Token,
-    banned,
     chart_parse_all,
     ingest_supertags,
     parse_all,
     parse_category,
     print_category,
-    step,
     tag_with_lexicon,
     to_json,
     tree_from_json,
@@ -34,6 +30,7 @@ from ccgplan import (
 from ccgplan.cli import main
 from conftest import DEMO_LEXICON
 from ccgplan.lexicon import load_lexicon
+from planning import AnnotatedCategory, Asr, banned, step
 
 C = parse_category
 K = CombinatorKind

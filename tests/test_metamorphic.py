@@ -19,8 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccgplan import (
-    AnnotatedCategory,
-    Asr,
     Candidate,
     CombinatorKind,
     ParseGoal,
@@ -37,9 +35,9 @@ from ccgplan import (
     parse_all,
     parse_category,
     print_category,
-    replay_plan,
 )
 from ccgplan.rules import DEFAULT_RAISE_TARGETS, RAISE_KINDS
+from planning import AnnotatedCategory, Asr, replay_plan
 from semantics import reading
 
 MAX_TOKENS = 5
