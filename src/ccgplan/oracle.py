@@ -1,11 +1,11 @@
 """Exhaustive chart parser used as an independent cross-check.
 
 Builds every derivation over every span bottom-up, applying the same rule
-schemas and normal-form restrictions as the plan engine but expressed on
-tree shape. Cell ``(i, j)`` is the list of distinct trees over tokens
-i..j-1, in the order found; a tree's root ``kind`` is the combinator that
-built it (None for a lexical leaf), and a combination or raise is dropped
-when ``rules.blocked`` bans it on its inputs' producers, as in the plan
+schemas and normal-form bans as the plan engine. Cell ``(i, j)`` is the
+list of distinct trees over tokens i..j-1, in the order found; a tree's
+root ``kind`` is the combinator that built it (None for a lexical leaf),
+and a combination or raise is dropped when ``rules.blocked`` bans it on
+its inputs' producers, the root kinds of its input trees, as in the plan
 engine, so a raised tree is never raised again. Exhaustive, so guarded
 by a sentence-length limit.
 """

@@ -320,42 +320,42 @@ def valid_instance(kind: CombinatorKind, inputs: tuple[Category, ...], output: C
     return _binary_output(kind, *inputs) == output
 
 
+K = CombinatorKind
+
+# The normal form, one row per clause: its name; the rule it restricts; the
+# input it looks at (a raise's one input is its left); the producers banned
+# there; whether it holds only with normalization on; and the rule that must
+# be enabled for it to hold, or None. N1's raise-then-apply rewrites to the
+# plain application the other way, so without that rule N1 would drop the
+# reading. N2x: a backward composition is never the primary functor (right
+# input) of crossed composition (Eisner 1996). N4 (raise only NP) limits
+# which raises exist at all, so ``unary_instances`` applies it.
+_BANS = (
+    ("raise bound", K.FWD_RAISE, "left", RAISE_KINDS, False, None),
+    ("raise bound", K.BWD_RAISE, "left", RAISE_KINDS, False, None),
+    ("N1", K.FWD_APPL, "left", frozenset({K.FWD_RAISE}), True, K.BWD_APPL),
+    ("N1", K.BWD_APPL, "right", frozenset({K.BWD_RAISE}), True, K.FWD_APPL),
+    ("N2", K.FWD_COMP, "left", frozenset({K.FWD_COMP}), True, None),
+    ("N2", K.BWD_COMP, "right", frozenset({K.BWD_COMP}), True, None),
+    ("N2x", K.BWD_XCOMP, "right", frozenset({K.BWD_COMP}), True, None),
+    ("N3", K.FWD_APPL, "left", frozenset({K.FWD_COMP}), True, None),
+    ("N3", K.BWD_APPL, "right", frozenset({K.BWD_COMP}), True, None),
+)
+_BANS_BY_KIND = {kind: tuple(row for row in _BANS if row[1] is kind) for kind in CombinatorKind}
+
+
 def blocked(
     kind: CombinatorKind,
     left_producer: CombinatorKind | None,
     right_producer: CombinatorKind | None,
     cfg: RuleConfig,
 ) -> bool:
-    """Whether a rule may not consume inputs built by these producers.
-
-    In both modes a raise never consumes a raise; without that bound raise
-    towers would never end. With normalization on, a forward application
-    may not consume, on its left, something built by forward composition
-    (N3: compose-then-apply rewrites to apply-apply) or, when backward
-    application is enabled, by forward raising (N1: raise-then-apply
-    rewrites to the plain backward application; without ``<`` that
-    rewrite does not exist, and the ban would drop the reading). Forward
-    composition may not consume a forward-composition result on its left
-    (N2: branching normalization). Backward rules mirror these on the
-    right side. The one other ban, N4 (raise only NP), limits which raises
-    exist at all, so ``unary_instances`` applies it.
-    """
-    if kind in RAISE_KINDS:
-        return left_producer in RAISE_KINDS
-    if not cfg.normalize:
-        return False
-    if kind is CombinatorKind.FWD_APPL:
-        if left_producer is CombinatorKind.FWD_RAISE:
-            return CombinatorKind.BWD_APPL in cfg.enabled
-        return left_producer is CombinatorKind.FWD_COMP
-    if kind is CombinatorKind.BWD_APPL:
-        if right_producer is CombinatorKind.BWD_RAISE:
-            return CombinatorKind.FWD_APPL in cfg.enabled
-        return right_producer is CombinatorKind.BWD_COMP
-    if kind is CombinatorKind.FWD_COMP:
-        return left_producer is CombinatorKind.FWD_COMP
-    if kind is CombinatorKind.BWD_COMP:
-        return right_producer is CombinatorKind.BWD_COMP
+    """Whether a rule may not consume inputs built by these producers: some
+    row of ``_BANS`` for the rule bans the producer of the input it looks at."""
+    for _, _, side, producers, normalize_only, needs in _BANS_BY_KIND[kind]:
+        producer = left_producer if side == "left" else right_producer
+        if producer in producers and (cfg.normalize or not normalize_only) and (needs is None or needs in cfg.enabled):
+            return True
     return False
 
 

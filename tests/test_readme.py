@@ -1,6 +1,6 @@
-"""README's library example runs as written against the demo lexicon, and
-its combinator table matches ``CombinatorKind``, its rows' defaults and
-``DEFAULT_RULES``."""
+"""README's library example runs as written against the demo lexicon, its
+combinator table matches ``CombinatorKind``, its rows' defaults and
+``DEFAULT_RULES``, and its normal-form table matches ``rules._BANS``."""
 
 import re
 from pathlib import Path
@@ -8,7 +8,7 @@ from pathlib import Path
 from conftest import DEMO_LEXICON
 
 from ccgplan import CombinatorKind, parse_category
-from ccgplan.rules import DEFAULT_RULES, valid_instance
+from ccgplan.rules import _BANS, DEFAULT_RULES, kind_from_name, valid_instance
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,3 +40,19 @@ def test_combinator_table_matches_the_kinds():
         inputs, output = schema.split(" => ")
         cats = tuple(parse_category(c) for c in inputs.split())
         assert valid_instance(kind, cats, parse_category(output)), schema
+
+
+def _kind(cell: str) -> CombinatorKind:
+    return kind_from_name(cell.strip("`"))
+
+
+def test_normal_form_table_matches_the_ban_rows():
+    section = _section("Combinators and normalization")
+    table = section.split("\n| Clause |", 1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in table.splitlines()[2:]:
+        clause, rule, side, producers, normalization, needs = (cell.strip() for cell in line.strip("|").split("|"))
+        assert normalization in ("on", "on or off")
+        producers = frozenset(_kind(p) for p in producers.split(", "))
+        rows.append((clause, _kind(rule), side, producers, normalization == "on", _kind(needs) if needs else None))
+    assert rows == list(_BANS)

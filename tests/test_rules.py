@@ -2,7 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
-from itertools import product, repeat
+from itertools import combinations, product, repeat
 from pathlib import Path
 
 import pytest
@@ -26,7 +26,9 @@ from ccgplan import (
     ternary_instances,
     unary_instances,
 )
-from ccgplan.rules import RAISE_KINDS, RuleInstance, _binary_output, joined_instances, valid_instance
+from ccgplan import rules
+from ccgplan.rules import RAISE_KINDS, RuleInstance, _binary_output, blocked, joined_instances, valid_instance
+from derivations import SCHEMAS, substitute, unify
 
 C = parse_category
 ALL_KINDS = frozenset(CombinatorKind)
@@ -162,41 +164,10 @@ def test_binary_instances_try_every_enabled_kind_in_row_order(a, b, c, shape, en
     assert binary_instances(l, r, cfg) == expected
 
 
-# README's Schema column, with A, B and C as pattern variables: an
-# independent statement of the binary schemas that ``binary_instances`` reads
-# from its own rows
-_README_SCHEMAS = {
-    CombinatorKind.FWD_APPL: ("A/B", "B", "A"),
-    CombinatorKind.BWD_APPL: ("B", r"A\B", "A"),
-    CombinatorKind.FWD_COMP: ("A/B", "B/C", "A/C"),
-    CombinatorKind.BWD_COMP: (r"B\C", r"A\B", r"A\C"),
-    CombinatorKind.BWD_XCOMP: ("B/C", r"A\B", "A/C"),
-    CombinatorKind.BWD_XSUBST: ("B/C", r"(A\B)/C", "A/C"),
-}
+_BINARY_KINDS = [kind for kind in CombinatorKind if kind.arity == 2]
 
 
-def _unify(pattern, c, env) -> bool:
-    """Whether ``pattern`` matches ``c``, binding its variables in ``env`` consistently."""
-    if isinstance(pattern, Atom):
-        return env.setdefault(pattern.name, c) == c
-    return (
-        isinstance(c, Functor)
-        and c.forward == pattern.forward
-        and _unify(pattern.result, c.result, env)
-        and _unify(pattern.arg, c.arg, env)
-    )
-
-
-def _substitute(pattern, env, flips):
-    """``pattern`` with its variables bound from ``env``, reversing each slash
-    for which the iterator ``flips`` yields True."""
-    if isinstance(pattern, Atom):
-        return env[pattern.name]
-    forward = pattern.forward != next(flips)
-    return Functor(_substitute(pattern.result, env, flips), _substitute(pattern.arg, env, flips), forward)
-
-
-@pytest.mark.parametrize("shape", [None, *_README_SCHEMAS], ids=lambda k: "unrelated" if k is None else k.symbol)
+@pytest.mark.parametrize("shape", [None, *_BINARY_KINDS], ids=lambda k: "unrelated" if k is None else k.symbol)
 @given(_cats, _cats, _cats, st.sampled_from([None, 0, 1, 2]), st.sets(st.sampled_from(list(CombinatorKind)), min_size=1))
 def test_binary_instances_match_the_readme_schemas(shape, a, b, c, flip, enabled):
     # a pair built from one schema's inputs, with at most one slash reversed, or an unrelated pair
@@ -205,19 +176,19 @@ def test_binary_instances_match_the_readme_schemas(shape, a, b, c, flip, enabled
         l, r = a, b
     else:
         flips = iter([i == flip for i in range(3)])
-        l, r = (_substitute(C(p), env, flips) for p in _README_SCHEMAS[shape][:2])
+        l, r = (substitute(p, env, flips) for p in SCHEMAS[shape][0])
     assert binary_instances(l, r, RuleConfig(enabled=enabled)) == _readme_instances(l, r, enabled)
 
 
 def _readme_instances(l, r, enabled) -> list[RuleInstance]:
-    """The enabled binary instances over a pair by README's Schema column, in row order."""
+    """The enabled binary instances over a pair by README's Schema column
+    (``derivations.SCHEMAS``), in row order."""
     found = []
-    for kind in CombinatorKind:
-        if kind in enabled and kind in _README_SCHEMAS:
-            left, right, output = (C(p) for p in _README_SCHEMAS[kind])
-            match = {}
-            if _unify(left, l, match) and _unify(right, r, match):
-                found.append(RuleInstance(kind, _substitute(output, match, repeat(False))))
+    for kind in _BINARY_KINDS:
+        (left, right), output = SCHEMAS[kind]
+        match = {}
+        if kind in enabled and unify(left, l, match) and unify(right, r, match):
+            found.append(RuleInstance(kind, substitute(output, match)))
     return found
 
 
@@ -337,6 +308,95 @@ def test_raise_kinds_are_the_unary_rows():
 def test_binary_instances_come_in_row_order():
     out = binary_instances(C(r"S/(NP\S)"), C(r"NP\S"), RuleConfig(enabled=frozenset(K)))
     assert [i.kind.symbol for i in out] == [">", "<Bx"]
+
+
+def _if_chain_blocked(kind, left_producer, right_producer, cfg) -> bool:
+    """``rules.blocked`` as it was written before its clauses became the rows
+    of ``rules._BANS``, and before the N2x row: the reference for the rows."""
+    if kind in RAISE_KINDS:
+        return left_producer in RAISE_KINDS
+    if not cfg.normalize:
+        return False
+    if kind is K.FWD_APPL:
+        if left_producer is K.FWD_RAISE:
+            return K.BWD_APPL in cfg.enabled
+        return left_producer is K.FWD_COMP
+    if kind is K.BWD_APPL:
+        if right_producer is K.BWD_RAISE:
+            return K.FWD_APPL in cfg.enabled
+        return right_producer is K.BWD_COMP
+    if kind is K.FWD_COMP:
+        return left_producer is K.FWD_COMP
+    if kind is K.BWD_COMP:
+        return right_producer is K.BWD_COMP
+    return False
+
+
+def _n2x_blocked(kind, left_producer, right_producer, cfg) -> bool:
+    """N2x: with normalization on, no ``<B`` output as ``<Bx``'s right input."""
+    return kind is K.BWD_XCOMP and right_producer is K.BWD_COMP and cfg.normalize
+
+
+def _with_n2x(*inputs) -> bool:
+    return _n2x_blocked(*inputs) or _if_chain_blocked(*inputs)
+
+
+# Every input of ``blocked``: each kind and pair of producers (None for a
+# leaf) under every non-empty enabled set, largest first, with normalization
+# on and then off; 9 x 10 x 10 x 511 x 2 = 919,800 inputs.
+_PRODUCER_PAIRS = list(product([None, *K], repeat=2))
+_BAN_CONFIGS = [
+    RuleConfig(enabled=frozenset(kinds), normalize=normalize)
+    for normalize in (True, False)
+    for size in range(len(K), 0, -1)
+    for kinds in combinations(K, size)
+]
+
+
+def _first_difference(reference):
+    """The first input on which ``blocked`` and ``reference`` differ, or None."""
+    kinds, lefts, rights = zip(*[(kind, l, r) for kind in K for l, r in _PRODUCER_PAIRS])
+    for cfg in _BAN_CONFIGS:
+        inputs = (kinds, lefts, rights, repeat(cfg))
+        if list(map(blocked, *inputs)) != list(map(reference, *inputs)):
+            return next(i for i in zip(*inputs) if blocked(*i) != reference(*i))
+    return None
+
+
+def _use_bans(monkeypatch, rows):
+    monkeypatch.setattr(rules, "_BANS_BY_KIND", {kind: tuple(row for row in rows if row[1] is kind) for kind in K})
+
+
+def test_the_ban_rows_without_n2x_are_the_if_chain(monkeypatch):
+    assert len(_BAN_CONFIGS) * len(K) * len(_PRODUCER_PAIRS) == 919_800
+    _use_bans(monkeypatch, [row for row in rules._BANS if row[0] != "N2x"])
+    assert _first_difference(_if_chain_blocked) is None
+
+
+def test_the_n2x_row_bans_a_backward_composition_as_crossed_compositions_right_input(monkeypatch):
+    # ``blocked`` bans what any row bans, so with the test above the rows
+    # give the if-chain or N2x
+    _use_bans(monkeypatch, [row for row in rules._BANS if row[0] == "N2x"])
+    assert _first_difference(_n2x_blocked) is None
+
+
+def _mutants():
+    """Copies of ``_BANS`` with one row moved to the other input side, or
+    with one banned producer dropped from a row."""
+    for i, row in enumerate(rules._BANS):
+        clause, kind, side, producers = row[:4]
+        other = "right" if side == "left" else "left"
+        before, after = rules._BANS[:i], rules._BANS[i + 1 :]
+        yield f"{clause} {kind.symbol} to the {other}", [*before, (clause, kind, other, *row[3:]), *after]
+        for producer in producers:
+            dropped = (clause, kind, side, producers - {producer}, *row[4:])
+            yield f"{clause} {kind.symbol} without {producer.symbol}", [*before, dropped, *after]
+
+
+@pytest.mark.parametrize("rows", [rows for _, rows in _mutants()], ids=[name for name, _ in _mutants()])
+def test_the_exhaustive_check_finds_a_mutated_row(monkeypatch, rows):
+    _use_bans(monkeypatch, rows)
+    assert _first_difference(_with_n2x) is not None
 
 
 def test_kind_names():
