@@ -109,15 +109,14 @@ class _Tables:
 
     Nodes (category, producing combinator, height) are a dict from node to
     id plus the list of nodes by id. The rule work has three levels, each
-    computed once: the raises of a category, as ``unary_instances``
-    returns them; for each category tuple, its raised rules, every
-    instance over its inputs as they stand or raised, which
-    ``joined_instances`` finds with one hash join per schema over the
-    inputs' raises, or which are the tuple's own instances when no input
-    can be raised; and for each node tuple, its reductions, the raised
-    rules that fit the height bound and the normal-form bans. The rule
-    functions are looked up in this module's globals at each call. No
-    entry depends on a search's start state or target, so every search
+    computed once: a category's raises (``unary_instances``); a category
+    tuple's raised rules, every instance over its inputs as they stand or
+    raised (``joined_instances``, or the tuple's own instances when no
+    input can be raised); and a node tuple's reductions, the raised rules
+    that fit the height bound and the normal-form bans. ``ways`` stores
+    nothing: it builds a root's raised nodes from the stored raises. The
+    rule functions are looked up in this module's globals at each call.
+    No entry depends on a search's start state or target, so every search
     over sentences of one length may share a table set: ``parse_all``
     builds one per call, doing the rule work once for all of its
     combinations.
@@ -131,7 +130,6 @@ class _Tables:
         self.nodes: list[tuple[Category, CombinatorKind | None, int]] = []
         self.raises_of: dict[Category, list[RuleInstance]] = {}
         self.raised: dict[tuple[Category, ...], list] = {}
-        self.ways_of: dict[int, list[int | None]] = {}
         self.reduced: dict[tuple[int, ...], list[tuple[int, tuple[int | None, ...]]]] = {}
 
     def node(self, cat: Category, kind: CombinatorKind | None, height: int) -> int:
@@ -146,14 +144,10 @@ class _Tables:
         """The ways a node can stand as a tree root: as it stands (None),
         or as a raised node within the height bound. No state node is a
         raise, so nothing is raised twice."""
-        ways = self.ways_of.get(nid)
-        if ways is None:
-            cat, _, height = self.nodes[nid]
-            ways = [None]
-            if height < self.limit:
-                ways += [self.node(out, kind, height + 1) for kind, out in self.raises(cat)]
-            self.ways_of[nid] = ways
-        return ways
+        cat, _, height = self.nodes[nid]
+        if height >= self.limit:
+            return [None]
+        return [None, *[self.node(out, kind, height + 1) for kind, out in self.raises(cat)]]
 
     def raises(self, cat: Category) -> list[RuleInstance]:
         """The raise instances of one category, as (combinator, output
@@ -190,8 +184,8 @@ class _Tables:
     def reductions(self, key: tuple[int, ...]) -> list[tuple[int, tuple[int | None, ...]]]:
         """The reductions of adjacent nodes (a pair, or a triple for
         coordination) as (merged node, raised node or None per input): the
-        category tuple's raised rules that fit the height bound and that
-        ``blocked`` allows on the inputs' producers."""
+        category tuple's raised rules, each input as it stands or raised,
+        that fit the height bound and the bans on the inputs' producers."""
         found = self.reduced.get(key)
         if found is not None:
             return found
@@ -201,12 +195,7 @@ class _Tables:
         # raising an input only adds to its height, so if the plain inputs
         # do not fit, nothing does
         if plain <= self.limit:
-            left, right = nodes[0][1], nodes[-1][1]
             for raises, kind, out in self.raised_rules(tuple([cat for cat, _, _ in nodes])):
-                if not any(raises):
-                    if not blocked(kind, left, right, self.cfg):
-                        found.append((self.node(out, kind, plain), raises))
-                    continue
                 inputs = [n if r is None else (r.output, r.kind, n[2] + 1) for n, r in zip(nodes, raises)]
                 height = 1 + max([h for _, _, h in inputs])
                 if height > self.limit or blocked(kind, inputs[0][1], inputs[-1][1], self.cfg):

@@ -234,13 +234,6 @@ def binary_instances(l: Category, r: Category, cfg: RuleConfig) -> list[RuleInst
     return out
 
 
-def _binary_output(kind: CombinatorKind, l: Category, r: Category) -> Category | None:
-    for k, lkey, rkey, output in _BINARY_BY_SLASHES[_slash(l), _slash(r)]:
-        if k is kind:
-            return output(l, r) if lkey(l) is rkey(r) else None
-    return None
-
-
 def joined_instances(
     variants: Sequence[Sequence[Category]], cfg: RuleConfig
 ) -> list[tuple[tuple[int, ...], CombinatorKind, Category]]:
@@ -298,26 +291,25 @@ def _coord_join(left, middle, right, cfg: RuleConfig):
 
 def ternary_instances(l: Category, m: Category, r: Category, cfg: RuleConfig) -> list[RuleInstance]:
     """Coordination: X conj X => X, when enabled."""
-    if CombinatorKind.COORD not in cfg.enabled:
-        return []
-    output = _coord_output(l, m, r)
-    return [] if output is None else [RuleInstance(CombinatorKind.COORD, output)]
+    if CombinatorKind.COORD in cfg.enabled and m is _CONJ and l is r:
+        return [RuleInstance(CombinatorKind.COORD, l)]
+    return []
 
 
-def _coord_output(l: Category, m: Category, r: Category) -> Category | None:
-    return l if m == _CONJ and l == r else None
+# every combinator on, so that ``valid_instance`` can ask about any kind
+_EVERY_RULE = RuleConfig(enabled=frozenset(CombinatorKind))
 
 
 def valid_instance(kind: CombinatorKind, inputs: tuple[Category, ...], output: Category) -> bool:
-    """Check an instance against its schema by re-substitution."""
+    """Check an instance against its schema: a raise by re-substitution,
+    any other rule against its instances over the inputs, every rule on."""
     if len(inputs) != kind.arity:
         return False
     if kind in RAISE_KINDS:
         # any target: a raise is checked against the target it names
         return isinstance(output, Functor) and output == _raise_output(kind, inputs[0], output.result)
-    if kind is CombinatorKind.COORD:
-        return _coord_output(*inputs) == output
-    return _binary_output(kind, *inputs) == output
+    instances = ternary_instances if kind is CombinatorKind.COORD else binary_instances
+    return RuleInstance(kind, output) in instances(*inputs, _EVERY_RULE)
 
 
 K = CombinatorKind

@@ -5,10 +5,16 @@ with all nine combinators enabled, and against the chart oracle on
 sentences whose tokens have one or two candidate categories, under both
 goals. The oracle has no plan-length bound, so its strict trees are cut
 to ``tree_height <= max_steps`` before comparing, and best-effort runs
-with ``max_steps = 2n+1``, which admits every tree over n words.
+with ``max_steps = 2n+1``, which admits every tree over n words. Besides
+fixed shapes, the sentences come from random derivations
+(``tests/derivations.py``), which always have a strict parse.
 """
 
 import random
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccgplan import (
     Candidate,
@@ -19,6 +25,7 @@ from ccgplan import (
     RuleConfig,
     TaggedSentence,
     Token,
+    attach_words,
     best_effort,
     chart_parse_all,
     effective_max_steps,
@@ -26,8 +33,10 @@ from ccgplan import (
     parse_all,
     parse_category,
 )
+from ccgplan.rules import DEFAULT_RAISE_TARGETS
 from ccgplan.trees import tree_height
 from brute import brute_best_effort, brute_strict_trees
+from derivations import derivations
 
 C = parse_category
 K = CombinatorKind
@@ -122,6 +131,61 @@ def test_engine_matches_oracle_best_effort_with_candidate_sets():
         enabled = ALL_RULES if case % 2 else RuleConfig().enabled
         cfg = RuleConfig(enabled=enabled, normalize=case // 2 % 2 == 0, max_steps=2 * len(cats) + 1)
         assert parse_all(ts, cfg, goal) == chart_parse_all(ts, cfg, goal), f"case {case}: {tokens} {cfg}"
+
+
+DERIVED_TARGETS = [C("S"), C("NP"), C(r"S\NP")]
+MAX_DERIVED_TOKENS = 5
+# the brute-force search is checked on sentences of at most this many tokens
+MAX_BRUTE_TOKENS = 3
+
+
+@st.composite
+def derived_cases(draw):
+    """A random derivation's leaves, some tokens with a distractor candidate
+    from ``POOL``, under a rule set holding the derivation's rules (all nine
+    in some cases) and one raise target, with normalization on or off; and
+    the derivation's target."""
+    target, raise_target = draw(st.sampled_from(DERIVED_TARGETS)), draw(st.sampled_from(DEFAULT_RAISE_TARGETS))
+    cats, used = draw(derivations(target, raise_target, draw(st.integers(1, MAX_DERIVED_TOKENS))))
+    distractors = draw(st.lists(st.none() | st.sampled_from(POOL), min_size=len(cats), max_size=len(cats)))
+    tokens = tuple(
+        Token(f"w{i}", (Candidate(c),) + (() if d is None or C(d) is c else (Candidate(C(d)),)))
+        for i, (c, d) in enumerate(zip(cats, distractors))
+    )
+    enabled = used | draw(st.just(ALL_RULES) | st.frozensets(st.sampled_from(list(K)), min_size=1))
+    cfg = RuleConfig(enabled=enabled, raise_targets=(raise_target,), normalize=draw(st.booleans()))
+    return TaggedSentence(tokens), cfg, ParseGoal.strict(target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(derived_cases())
+def test_engine_matches_oracle_and_brute_force_on_derived_sentences(case):
+    """Strict goals at every ``max_steps`` from None and 1 to 2n+1, and
+    best-effort at 2n+1, which cuts no tree. A short sentence whose tokens
+    have one candidate each is checked against the brute-force search too.
+    A tree's height is its canonical plan's length, so the references run
+    once, unbounded or at 2n+1, and are cut by ``tree_height``."""
+    ts, cfg, goal = case
+    n = len(ts.tokens)
+    wide = replace(cfg, max_steps=2 * n + 1)
+    best_effort_goal = ParseGoal.best_effort()
+    strict_refs = [chart_parse_all(ts, cfg, goal)]
+    best_refs = [chart_parse_all(ts, wide, best_effort_goal)]
+    if n <= MAX_BRUTE_TOKENS and all(len(tok.candidates) == 1 for tok in ts.tokens):
+        cats = [tok.candidates[0].cat for tok in ts.tokens]
+        words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
+        strict_refs.append({attach_words(t, words) for t in brute_strict_trees(cats, wide, goal)})
+        residue, forests = brute_best_effort(cats, wide)
+        best_refs.append((residue, {tuple(attach_words(t, words) for t in forest) for forest in forests}))
+    for max_steps in [None, *range(1, 2 * n + 2)]:
+        bounded = replace(cfg, max_steps=max_steps)
+        limit = effective_max_steps(bounded, n)
+        strict = parse_all(ts, bounded, goal)
+        for ref in strict_refs:
+            assert strict == {t for t in ref if tree_height(t) <= limit}, max_steps
+    best = parse_all(ts, wide, best_effort_goal)
+    for ref in best_refs:
+        assert best == ref
 
 
 def _tagged(*entries):

@@ -27,7 +27,7 @@ from ccgplan import (
     unary_instances,
 )
 from ccgplan import rules
-from ccgplan.rules import RAISE_KINDS, RuleInstance, _binary_output, blocked, joined_instances, valid_instance
+from ccgplan.rules import RAISE_KINDS, RuleInstance, blocked, joined_instances, valid_instance
 from derivations import SCHEMAS, substitute, unify
 
 C = parse_category
@@ -160,7 +160,7 @@ def test_binary_instances_try_every_enabled_kind_in_row_order(a, b, c, shape, en
     ][shape]
     cfg = RuleConfig(enabled=enabled)
     rows = [k for k in CombinatorKind if k.arity == 2 and k in enabled]
-    expected = [RuleInstance(k, out) for k in rows for out in [_binary_output(k, l, r)] if out is not None]
+    expected = [inst for k in rows for inst in binary_instances(l, r, RuleConfig(enabled={k}))]
     assert binary_instances(l, r, cfg) == expected
 
 
@@ -220,6 +220,58 @@ def test_joined_instances_equal_the_loop_over_every_combination(variants, enable
             for picks in product(*[range(len(v)) for v in variants])
             for kind, out in _readme_instances(*[v[i] for v, i in zip(variants, picks)], enabled)
         ]
+
+
+# ``valid_instance`` as it was written before it asked the instance
+# functions, with the two helpers it was built on: the reference for it.
+
+
+def _binary_output(kind, l, r):
+    """One binary schema's output over a pair, or None."""
+    for k, lkey, rkey, output in rules._BINARY_BY_SLASHES[rules._slash(l), rules._slash(r)]:
+        if k is kind:
+            return output(l, r) if lkey(l) is rkey(r) else None
+    return None
+
+
+def _coord_output(l, m, r):
+    """X conj X => X, or None."""
+    return l if m == rules._CONJ and l == r else None
+
+
+def _valid_by_re_substitution(kind, inputs, output) -> bool:
+    if len(inputs) != kind.arity:
+        return False
+    if kind in RAISE_KINDS:
+        return isinstance(output, Functor) and output == rules._raise_output(kind, inputs[0], output.result)
+    if kind is CombinatorKind.COORD:
+        return _coord_output(*inputs) == output
+    return _binary_output(kind, *inputs) == output
+
+
+# twelve categories that between them fit every schema
+_INSTANCE_POOL = [
+    C(c)
+    for c in ["S", "NP", "N", "conj", r"S\NP", "S/NP", "NP/N", r"S\S", r"(S\NP)/NP", r"(S\S)/NP", r"NP\NP"]
+    + [r"(S\NP)\(S\NP)"]
+]
+
+
+def test_valid_instance_equals_the_re_substitution_it_replaced():
+    """Every kind, every tuple of one to three pool categories as inputs,
+    and every output from the pool or among the inputs' instances."""
+    cfg = RuleConfig(enabled=ALL_KINDS, raise_targets=tuple(_INSTANCE_POOL), normalize=False)
+    rules_by_arity = {1: unary_instances, 2: binary_instances, 3: ternary_instances}
+    valid_kinds = set()
+    for inputs in [t for n in (1, 2, 3) for t in product(_INSTANCE_POOL, repeat=n)]:
+        outputs = [*_INSTANCE_POOL, *[inst.output for inst in rules_by_arity[len(inputs)](*inputs, cfg)]]
+        for kind, output in product(CombinatorKind, outputs):
+            valid = valid_instance(kind, inputs, output)
+            assert valid == _valid_by_re_substitution(kind, inputs, output), (kind, inputs, output)
+            if valid:
+                valid_kinds.add(kind)
+    # the pool reaches every schema, so no kind is compared on False alone
+    assert valid_kinds == ALL_KINDS
 
 
 def test_config_invariants():
