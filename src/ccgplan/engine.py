@@ -97,9 +97,10 @@ def effective_max_steps(cfg: RuleConfig, sentence_length: int) -> int:
 # node's combinator and category; its height, also in the id, follows from
 # its children. Rebasing maps a recipe across one reduction so memoized
 # futures compose with any path into the state; ``_materialize`` translates
-# node ids back. A reduction's recipe carries the raises it applied to its
-# inputs, so every raise node in a recipe sits under a binary or ternary
-# node or is a root.
+# node ids back. A reduction's recipe is the merged node over its inputs,
+# each as it stands or raised, so every raise node in a recipe sits under a
+# binary or ternary node or is a root. ``_recipes`` builds it only for a
+# successor whose result it keeps: one with recipes and no worse a residue.
 _FOREST = -1
 
 
@@ -185,39 +186,23 @@ class _Tables:
         """The reductions of adjacent nodes (a pair, or a triple for
         coordination) as (merged node, raised node or None per input): the
         category tuple's raised rules, each input as it stands or raised,
-        that fit the height bound and the bans on the inputs' producers."""
+        that fit the height bound and the bans on the inputs' producers.
+        Each instance is held to the bound with its raises applied, which
+        also drops every one whose plain inputs are already too tall."""
         found = self.reduced.get(key)
         if found is not None:
             return found
         found = []
         nodes = [self.nodes[nid] for nid in key]
-        plain = 1 + max([h for _, _, h in nodes])
-        # raising an input only adds to its height, so if the plain inputs
-        # do not fit, nothing does
-        if plain <= self.limit:
-            for raises, kind, out in self.raised_rules(tuple([cat for cat, _, _ in nodes])):
-                inputs = [n if r is None else (r.output, r.kind, n[2] + 1) for n, r in zip(nodes, raises)]
-                height = 1 + max([h for _, _, h in inputs])
-                if height > self.limit or blocked(kind, inputs[0][1], inputs[-1][1], self.cfg):
-                    continue
-                raised = tuple([None if r is None else self.node(*n) for n, r in zip(inputs, raises)])
-                found.append((self.node(out, kind, height), raised))
+        for raises, kind, out in self.raised_rules(tuple([cat for cat, _, _ in nodes])):
+            inputs = [n if r is None else (r.output, r.kind, n[2] + 1) for n, r in zip(nodes, raises)]
+            height = 1 + max([h for _, _, h in inputs])
+            if height > self.limit or blocked(kind, inputs[0][1], inputs[-1][1], self.cfg):
+                continue
+            raised = tuple([None if r is None else self.node(*n) for n, r in zip(inputs, raises)])
+            found.append((self.node(out, kind, height), raised))
         self.reduced[key] = found
         return found
-
-
-def _input(j: int, raised: int | None):
-    return j if raised is None else (raised, (j,))
-
-
-def _successors(state: tuple[int, ...], tables: _Tables):
-    """Every reduction of a state as (index, arity, successor state,
-    recipe over ``state``)."""
-    for arity in tables.arities:
-        for i in range(len(state) - arity + 1):
-            for merged, raises in tables.reductions(state[i : i + arity]):
-                built = (merged, tuple([_input(j, r) for j, r in enumerate(raises, i)]))
-                yield i, arity, state[:i] + (merged,) + state[i + arity :], built
 
 
 def _rebase(recipe, i: int, arity: int, built):
@@ -242,19 +227,22 @@ def _recipes(state, tables, target, memo):
         root = state[0]
         for r in tables.ways(root):
             if tables.nodes[root if r is None else r][0] == target:
-                found.add(_input(0, r))
-    for i, arity, successor, built in _successors(state, tables):
-        sub_best, subs = memo.get(successor) or _recipes(successor, tables, target, memo)
-        if not subs:
-            continue
-        if sub_best < best:
-            best, found = sub_best, set()
-        if sub_best == best:
-            found.update([_rebase(sub, i, arity, built) for sub in subs])
+                found.add(0 if r is None else (r, (0,)))
+    for arity in tables.arities:
+        for i in range(len(state) - arity + 1):
+            for merged, raises in tables.reductions(state[i : i + arity]):
+                successor = state[:i] + (merged,) + state[i + arity :]
+                sub_best, subs = memo.get(successor) or _recipes(successor, tables, target, memo)
+                if not subs or sub_best > best:
+                    continue
+                if sub_best < best:
+                    best, found = sub_best, set()
+                built = (merged, tuple([j if r is None else (r, (j,)) for j, r in enumerate(raises, i)]))
+                found.update([_rebase(sub, i, arity, built) for sub in subs])
     if not found and target is None:
         # every reduction shortens the state, so none applies: the items
         # are the residue, each as it stands or raised
-        residue = product(*([_input(j, r) for r in tables.ways(nid)] for j, nid in enumerate(state)))
+        residue = product(*([j if r is None else (r, (j,)) for r in tables.ways(nid)] for j, nid in enumerate(state)))
         found = {(_FOREST, items) for items in residue}
     memo[state] = result = (best, found)
     return result

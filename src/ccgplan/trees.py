@@ -28,6 +28,29 @@ class Node:
     cat: Category
     kids: tuple["DerivationTree", ...]
 
+    def __eq__(self, other):
+        """Field-wise equality, as the dataclass would give, walked with a
+        stack: a right-branching tree of ``lexicon.MAX_TOKENS`` leaves is
+        deeper than Python's default recursion limit lets a recursive
+        comparison go. The generated ``__hash__`` is kept."""
+        if other.__class__ is not Node:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if a.__class__ is Leaf:
+                if a != b:
+                    return False
+            elif a.kind != b.kind or a.cat != b.cat or len(a.kids) != len(b.kids):
+                return False
+            else:
+                pairs.extend(zip(a.kids, b.kids))
+        return True
+
 
 DerivationTree = Union[Leaf, Node]
 
@@ -46,10 +69,6 @@ def leaves(t: DerivationTree) -> tuple[Leaf, ...]:
     for c in t.kids:
         out.extend(leaves(c))
     return tuple(out)
-
-
-def node_count(t: DerivationTree) -> int:
-    return 1 + sum(node_count(c) for c in t.kids)
 
 
 def tree_height(t: DerivationTree) -> int:

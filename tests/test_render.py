@@ -23,7 +23,6 @@ from ccgplan import (
     tree_from_json,
 )
 from ccgplan.cli import _render_documents
-from ccgplan.trees import node_count
 
 C = parse_category
 K = CombinatorKind
@@ -116,8 +115,11 @@ def test_json_round_trip_random_trees(tree):
 
 @given(_trees)
 def test_formats_agree_on_node_count(tree):
+    def tree_nodes(t):
+        return 1 + sum(tree_nodes(c) for c in t.kids)
+
     dot = to_dot(tree)
-    count = node_count(tree)
+    count = tree_nodes(tree)
     assert len(re.findall(r"^\s*n\d+ \[label=", dot, flags=re.M)) == count
     assert len(re.findall(r"->", dot)) == count - 1
 

@@ -2,11 +2,26 @@
 helpers keep a tree's shape."""
 
 import dataclasses
+import sys
 
 import pytest
 
-from ccgplan import CombinatorKind, Leaf, Node, attach_words, check_tree, leaves, parse_category
-from ccgplan.trees import as_forest
+from ccgplan import (
+    CombinatorKind,
+    Leaf,
+    Node,
+    attach_words,
+    canonical_plan,
+    check_tree,
+    leaves,
+    parse_category,
+    to_ascii,
+    to_dot,
+    to_json,
+    tree_from_json,
+)
+from ccgplan.lexicon import MAX_TOKENS
+from ccgplan.trees import as_forest, tree_height
 
 C = parse_category
 K = CombinatorKind
@@ -89,3 +104,34 @@ def test_a_leaf_answers_kind_and_kids_without_new_fields():
     assert (leaf.kind, leaf.kids) == (None, ())
     assert [f.name for f in dataclasses.fields(Leaf)] == ["word", "cat", "pos"]
     assert repr(leaf) == "Leaf(word='it', cat=Atom(name='NP'), pos=3)"
+
+
+def _right_branching(n, last="NP"):
+    """``NP/NP … NP/NP last`` under ``>``, one level per token."""
+    tree = Leaf(None, C(last), n)
+    for pos in range(n - 1, 0, -1):
+        tree = Node(K.FWD_APPL, C("NP"), (Leaf(None, C("NP/NP"), pos), tree))
+    return tree
+
+
+def test_trees_up_to_the_token_bound_work_under_the_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        tree, twin = _right_branching(MAX_TOKENS), _right_branching(MAX_TOKENS)
+        other = _right_branching(MAX_TOKENS, last="NP/NP")
+        worded = attach_words(tree, {pos: f"w{pos}" for pos in range(1, MAX_TOKENS + 1)})
+        assert [lf.word for lf in leaves(worded)] == [f"w{pos}" for pos in range(1, MAX_TOKENS + 1)]
+        assert tree_height(tree) == MAX_TOKENS - 1
+        assert len(leaves(tree)) == MAX_TOKENS
+        assert check_tree(tree)
+        assert len(canonical_plan(tree).steps) == MAX_TOKENS - 1
+        assert to_ascii(tree).count("\n") > MAX_TOKENS
+        assert to_dot(tree).count("->") == 2 * (MAX_TOKENS - 1)
+        assert hash(tree) == hash(twin)
+        assert tree == twin and tree is not twin
+        assert tree != other and tree != worded
+        assert {tree, other} == {twin, _right_branching(MAX_TOKENS, last="NP/NP")}
+        assert tree_from_json(to_json(tree)) == tree
+    finally:
+        sys.setrecursionlimit(limit)
