@@ -45,6 +45,18 @@ its length, so ``parse_all`` builds these tables once and its searches,
 one per combination, share them. The trees found are exactly those
 denoted by admissible canonical plans; ``canonical_plan`` rebuilds the
 concurrent plan for any of them.
+
+On supertagged input most combinations have no strict parse, and most
+of those fail a test that needs no search. Count each atom +1 in a
+result position and -1 in an argument position, so count(X/Y) =
+count(X) - count(Y). Every combinator but ``<Sx`` and ``&``
+(``rules.COUNT_KEEPING_KINDS``) gives its output the sum of its inputs'
+counts (van Benthem 1991), and so does a raise, at a root too. So while
+only those combinators are enabled, every tree over a combination has
+the sum of its categories' counts at its root, and a strict search whose
+sum differs from the target's count can find nothing: it returns before
+its start state is built. With ``<Sx`` or ``&`` enabled no search is
+skipped, and best-effort, which has no target, never skips.
 """
 
 from __future__ import annotations
@@ -56,10 +68,12 @@ from typing import Iterable, Sequence
 from .categories import Category
 from .lexicon import TaggedSentence
 from .rules import (
+    COUNT_KEEPING_KINDS,
     CombinatorKind,
     ParseGoal,
     RuleConfig,
     RuleInstance,
+    atom_count,
     binary_instances,
     blocked,
     joined_instances,
@@ -132,6 +146,8 @@ class _Tables:
         self.raises_of: dict[Category, list[RuleInstance]] = {}
         self.raised: dict[tuple[Category, ...], list] = {}
         self.reduced: dict[tuple[int, ...], list[tuple[int, tuple[int | None, ...]]]] = {}
+        self.counted = cfg.enabled <= COUNT_KEEPING_KINDS
+        self.counts: dict[Category, dict] = {}
 
     def node(self, cat: Category, kind: CombinatorKind | None, height: int) -> int:
         key = (cat, kind, height)
@@ -140,6 +156,23 @@ class _Tables:
             nid = self.node_ids[key] = len(self.nodes)
             self.nodes.append(key)
         return nid
+
+    def balances(self, cats: tuple[Category, ...], target: Category) -> bool:
+        """Whether the categories' atom counts sum to the target's; always
+        True when some enabled rule does not keep the count."""
+        if not self.counted:
+            return True
+        left = dict(self.count(target))
+        for cat in cats:
+            for atom, n in self.count(cat).items():
+                left[atom] = left.get(atom, 0) - n
+        return not any(left.values())
+
+    def count(self, cat: Category) -> dict:
+        found = self.counts.get(cat)
+        if found is None:
+            found = self.counts[cat] = atom_count(cat)
+        return found
 
     def ways(self, nid: int) -> list[int | None]:
         """The ways a node can stand as a tree root: as it stands (None),
@@ -263,10 +296,13 @@ def _parse(cats: Iterable[Category], cfg: RuleConfig, target: Category | None, t
     """One search from a combination's categories at positions 1..n: the
     fewest items reached, and the trees rooted at ``target`` or, without
     one, the best-effort forests. ``tables`` must have been built for
-    ``cfg`` and this sentence length; None builds a fresh set."""
+    ``cfg`` and this sentence length; None builds a fresh set. A strict
+    search whose categories cannot balance to ``target`` is not run."""
     cats = tuple(cats)
     if tables is None:
         tables = _Tables(cfg, effective_max_steps(cfg, len(cats)))
+    if target is not None and not tables.balances(cats, target):
+        return 1, set()
     state = tuple(tables.node(cat, None, 0) for cat in cats)
     best, recipes = _recipes(state, tables, target, {})
     return best, {_materialize(r, cats, tables) for r in recipes}

@@ -56,6 +56,12 @@ class CombinatorKind(Enum):
 RAISE_KINDS = frozenset(k for k in CombinatorKind if k.arity == 1)
 DEFAULT_RULES = frozenset(k for k in CombinatorKind if k.on_by_default)
 
+# The combinators that keep the count (van Benthem 1991): the output's
+# ``atom_count`` is the sum of the inputs'. ``<Sx`` uses its C twice, and
+# ``&`` merges two Xs into one, so neither keeps it; raising does, so a root
+# raised to a strict target has its unraised count.
+COUNT_KEEPING_KINDS = frozenset(CombinatorKind) - {CombinatorKind.BWD_XSUBST, CombinatorKind.COORD}
+
 DEFAULT_RAISE_TARGETS = (
     parse_category("S"),
     parse_category(r"S\NP"),
@@ -139,6 +145,22 @@ class ParseGoal:
     @classmethod
     def best_effort(cls) -> "ParseGoal":
         return cls(None)
+
+
+def atom_count(c: Category) -> dict[Atom, int]:
+    """Each atom's signed count in ``c``: +1 per occurrence in a result
+    position, -1 per occurrence in an argument position, so that
+    count(X/Y) = count(X) - count(Y). Atoms that count 0 are left out."""
+    counts: dict[Atom, int] = {}
+    stack = [(c, 1)]
+    while stack:
+        part, sign = stack.pop()
+        if part.__class__ is Functor:
+            stack.append((part.result, sign))
+            stack.append((part.arg, -sign))
+        else:
+            counts[part] = counts.get(part, 0) + sign
+    return {atom: n for atom, n in counts.items() if n}
 
 
 class RuleInstance(NamedTuple):

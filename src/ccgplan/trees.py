@@ -51,6 +51,24 @@ class Node:
                 pairs.extend(zip(a.kids, b.kids))
         return True
 
+    def __repr__(self):
+        """The dataclass repr, written from a stack for the same reason as
+        ``__eq__``."""
+        parts = []
+        todo = [self]
+        while todo:
+            t = todo.pop()
+            if t.__class__ is not Node:
+                parts.append(t if t.__class__ is str else repr(t))
+                continue
+            pieces = [f"Node(kind={t.kind!r}, cat={t.cat!r}, kids=("]
+            for i, kid in enumerate(t.kids):
+                pieces += [", ", kid] if i else [kid]
+            pieces.append(",))" if len(t.kids) == 1 else "))")
+            # pushed in reverse, so they pop in reading order
+            todo.extend(reversed(pieces))
+        return "".join(parts)
+
 
 DerivationTree = Union[Leaf, Node]
 

@@ -19,6 +19,7 @@ from ccgplan import (
     best_effort,
     binary_instances,
     canonical_plan,
+    chart_parse_all,
     check_tree,
     enumerate_parses,
     load_lexicon,
@@ -230,6 +231,62 @@ def test_each_category_pair_is_combined_once_per_parse_all(monkeypatch, length, 
     assert not repeated, f"{len(repeated)} category pairs combined more than once"
     assert joined, "no category pair was matched with its raises"
     assert found if goal.target is not None else found[1]
+
+
+# the count check
+
+
+def _record_every_rule_call(monkeypatch):
+    """Record the name of each rule function the engine calls."""
+    calls = []
+    for name in ("binary_instances", "unary_instances", "ternary_instances", "joined_instances"):
+
+        def recording(*args, _name=name, _original=getattr(ccgplan.engine, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(ccgplan.engine, name, recording)
+    return calls
+
+
+def test_a_combination_that_cannot_balance_to_the_target_does_no_rule_work(monkeypatch):
+    calls = _record_every_rule_call(monkeypatch)
+    # NP and (S\NP)/NP count S - NP between them, and the target S counts S
+    unbalanced = [C("NP"), C(r"(S\NP)/NP")]
+    assert enumerate_parses(unbalanced, RuleConfig(), ParseGoal.strict()) == set()
+    assert calls == []
+    # best-effort has no target to balance to, so it searches
+    assert best_effort(unbalanced, RuleConfig())[0] == 1
+    assert calls
+    calls.clear()
+    assert len(enumerate_parses([C("NP"), C(r"S\NP")], RuleConfig(), ParseGoal.strict())) == 1
+    assert calls
+
+
+OFF_LEXICON = "\n".join(
+    ["John\tNP", "Mary\tNP", "likes\t(S\\NP)/NP", "hates\t(S\\NP)/NP", "and\tconj", "without\t((S\\NP)\\(S\\NP))/NP"]
+)
+
+
+def _kinds(tree):
+    """The combinators a tree uses."""
+    return {tree.kind}.union(*map(_kinds, tree.kids)) if tree.kids else set()
+
+
+# "John likes without Mary" counts S - NP and "John likes and hates Mary"
+# 2S - 2NP + conj, not S; each parses only with its combinator, which does
+# not keep the count
+@pytest.mark.parametrize(
+    "words, kind", [("John likes without Mary", K.BWD_XSUBST), ("John likes and hates Mary", K.COORD)]
+)
+@pytest.mark.parametrize("every_rule", [True, False], ids=["all nine rules", "the defaults and one more"])
+def test_no_search_is_skipped_while_a_rule_that_changes_the_count_is_on(words, kind, every_rule):
+    ts = tag_with_lexicon(words.split(), load_lexicon(OFF_LEXICON))
+    cfg = RuleConfig(enabled=frozenset(K) if every_rule else RuleConfig().enabled | {kind})
+    trees = parse_all(ts, cfg, ParseGoal.strict())
+    assert len(trees) == 1
+    assert trees == chart_parse_all(ts, cfg, ParseGoal.strict())
+    assert kind in _kinds(next(iter(trees)))
 
 
 # best effort

@@ -2,6 +2,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations, product, repeat
 from pathlib import Path
 
@@ -27,7 +28,15 @@ from ccgplan import (
     unary_instances,
 )
 from ccgplan import rules
-from ccgplan.rules import RAISE_KINDS, RuleInstance, blocked, joined_instances, valid_instance
+from ccgplan.rules import (
+    COUNT_KEEPING_KINDS,
+    RAISE_KINDS,
+    RuleInstance,
+    atom_count,
+    blocked,
+    joined_instances,
+    valid_instance,
+)
 from derivations import SCHEMAS, substitute, unify
 
 C = parse_category
@@ -190,6 +199,49 @@ def _readme_instances(l, r, enabled) -> list[RuleInstance]:
         if kind in enabled and unify(left, l, match) and unify(right, r, match):
             found.append(RuleInstance(kind, substitute(output, match)))
     return found
+
+
+def test_atom_count_is_result_minus_argument():
+    assert atom_count(C("NP")) == {C("NP"): 1}
+    assert atom_count(C(r"(S\NP)/NP")) == {C("S"): 1, C("NP"): -2}
+    # both preposition categories count -NP
+    assert atom_count(C(r"(NP\NP)/NP")) == atom_count(C(r"((S\NP)\(S\NP))/NP")) == {C("NP"): -1}
+    assert atom_count(C("S/S")) == {}
+
+
+def _summed_count(cats):
+    total = Counter()
+    for c in cats:
+        total.update(atom_count(c))
+    return {atom: n for atom, n in total.items() if n}
+
+
+_INSTANCES = {1: unary_instances, 2: binary_instances, 3: ternary_instances}
+
+
+@pytest.mark.parametrize("kind", list(CombinatorKind), ids=lambda k: k.symbol)
+@given(_cats, _cats, _cats)
+def test_count_keeping_instances_keep_the_atom_count(kind, a, b, c):
+    # inputs shaped for the kind's schema; a raise takes any category, to the target b
+    inputs = [a] if kind.arity == 1 else [substitute(p, {"A": a, "B": b, "C": c}) for p in SCHEMAS[kind][0]]
+    cfg = RuleConfig(enabled=ALL_KINDS, raise_targets=(b,), normalize=False)
+    instances = _INSTANCES[kind.arity](*inputs, cfg)
+    assert kind in [inst.kind for inst in instances]
+    for inst in instances:
+        if inst.kind in COUNT_KEEPING_KINDS:
+            assert atom_count(inst.output) == _summed_count(inputs), inst
+
+
+def test_crossed_substitution_and_coordination_change_the_atom_count():
+    assert set(CombinatorKind) - COUNT_KEEPING_KINDS == {CombinatorKind.BWD_XSUBST, CombinatorKind.COORD}
+    cfg = RuleConfig(enabled=ALL_KINDS)
+    # <Sx uses its C twice: likes (S\NP)/NP without ((S\NP)\(S\NP))/NP => (S\NP)/NP
+    likes, without = C(r"(S\NP)/NP"), C(r"((S\NP)\(S\NP))/NP")
+    assert RuleInstance(CombinatorKind.BWD_XSUBST, likes) in binary_instances(likes, without, cfg)
+    assert _summed_count([likes, without]) == {C("S"): 1, C("NP"): -3} != atom_count(likes)
+    # & merges two Xs and a conj into one X
+    assert ternary_instances(C("NP"), C("conj"), C("NP"), cfg) == [RuleInstance(CombinatorKind.COORD, C("NP"))]
+    assert _summed_count([C("NP"), C("conj"), C("NP")]) == {C("NP"): 2, C("conj"): 1} != atom_count(C("NP"))
 
 
 # variants for the join: plain categories of both slashes, raises of ``NP``

@@ -106,6 +106,32 @@ def test_a_leaf_answers_kind_and_kids_without_new_fields():
     assert repr(leaf) == "Leaf(word='it', cat=Atom(name='NP'), pos=3)"
 
 
+@dataclasses.dataclass(frozen=True)
+class _GeneratedRepr:
+    """A ``Node`` twin that keeps the dataclass-generated repr."""
+
+    kind: CombinatorKind
+    cat: object
+    kids: tuple
+
+
+def _generated_repr(t):
+    def twin(t):
+        return t if isinstance(t, Leaf) else _GeneratedRepr(t.kind, t.cat, tuple(map(twin, t.kids)))
+
+    return repr(twin(t)).replace(_GeneratedRepr.__name__, "Node")
+
+
+def test_a_node_prints_as_the_dataclass_repr():
+    for tree in [_np(), _coordination(), *BAD_TREES.values()]:
+        assert repr(tree) == _generated_repr(tree)
+    assert repr(_np()) == (
+        "Node(kind=<CombinatorKind.FWD_APPL: 'FwdAppl'>, cat=Atom(name='NP'), kids=("
+        "Leaf(word=None, cat=Functor(result=Atom(name='NP'), arg=Atom(name='N'), forward=True), pos=1), "
+        "Leaf(word=None, cat=Atom(name='N'), pos=2)))"
+    )
+
+
 def _right_branching(n, last="NP"):
     """``NP/NP … NP/NP last`` under ``>``, one level per token."""
     tree = Leaf(None, C(last), n)
@@ -133,5 +159,6 @@ def test_trees_up_to_the_token_bound_work_under_the_default_recursion_limit():
         assert tree != other and tree != worded
         assert {tree, other} == {twin, _right_branching(MAX_TOKENS, last="NP/NP")}
         assert tree_from_json(to_json(tree)) == tree
+        assert repr(tree) == repr(twin) and repr(tree).count("Node(") == MAX_TOKENS - 1
     finally:
         sys.setrecursionlimit(limit)
