@@ -18,6 +18,7 @@ from .lexicon import (
     ingest_supertags,
     load_lexicon,
     parse_lexicon_line,
+    prune,
     tag_with_lexicon,
 )
 from .oracle import chart_parse_all
@@ -71,14 +72,6 @@ def _parse_cutoffs(text: str) -> tuple[float, ...]:
     return cutoffs
 
 
-def _tagged_from_lexicon(args) -> TaggedSentence:
-    lex = load_lexicon(_read_text(args.lexicon, "lexicon"))
-    words = args.words.split()
-    if not words:
-        raise CliError("no tokens in --words")
-    return tag_with_lexicon(words, lex)
-
-
 def _check_input(args) -> None:
     if bool(args.supertags) == bool(args.lexicon):
         raise CliError("give exactly one input: --lexicon with --words, or --supertags")
@@ -88,27 +81,19 @@ def _check_input(args) -> None:
         raise CliError("--words needs --lexicon")
 
 
-def _sentences(args):
-    """The supertag cutoff ladder and a reader from a cutoff to the tagged
-    sentence; lexicon input has the single cutoff None, though its
-    ``--cutoffs`` must still be a valid list."""
+def _rungs(args) -> list[tuple[float | None, TaggedSentence]]:
+    """The cutoff ladder as (cutoff, sentence) rungs, widest last, from one
+    read of the input; lexicon input is the one rung of cutoff None, though
+    its ``--cutoffs`` must still be a valid list."""
     cutoffs = _parse_cutoffs(args.cutoffs)
     if args.lexicon:
-        return (None,), lambda _cutoff: _tagged_from_lexicon(args)
-    source = _read_text(args.supertags, "supertag file")
-    return cutoffs, lambda cutoff: ingest_supertags(source, cutoff)
-
-
-def _strict_rung(cutoffs, read, search):
-    """Widen the candidate sets rung by rung until one of the strict
-    searches finds a parse: that rung's cutoff, sentence and ``search``
-    results, or the last rung's if no rung has a parse."""
-    for cutoff in cutoffs:
-        ts = read(cutoff)
-        results = search(ts)
-        if any(results):
-            break
-    return cutoff, ts, results
+        lex = load_lexicon(_read_text(args.lexicon, "lexicon"))
+        words = args.words.split()
+        if not words:
+            raise CliError("no tokens in --words")
+        return [(None, tag_with_lexicon(words, lex))]
+    widest = ingest_supertags(_read_text(args.supertags, "supertag file"), cutoffs[-1])
+    return [(cutoff, prune(widest, cutoff)) for cutoff in cutoffs]
 
 
 def _render_documents(parses, fmt: str) -> list[str]:
@@ -166,15 +151,16 @@ def cmd_parse(args) -> int:
     started = time.perf_counter()
     _check_input(args)
     cfg = _build_config(args)
-    cutoffs, read = _sentences(args)
-    if args.goal == "best-effort":
-        cutoff, ts = cutoffs[-1], read(cutoffs[-1])
-    else:
-        cutoff, ts, (trees,) = _strict_rung(
-            cutoffs, read, lambda ts: (parse_all(ts, cfg, ParseGoal.strict()),)
-        )
+    rungs = _rungs(args)
+    if args.goal != "best-effort":
+        # widen the candidate sets rung by rung until a strict parse appears
+        for cutoff, ts in rungs:
+            trees = parse_all(ts, cfg, ParseGoal.strict())
+            if trees:
+                break
         if trees or args.goal == "strict":
             return _finish(args, started, cutoff, "strict", 1 if trees else len(ts.tokens), trees)
+    cutoff, ts = rungs[-1]
     residue, forests = parse_all(ts, cfg, ParseGoal.best_effort())
     return _finish(args, started, cutoff, "best-effort", residue, forests)
 
@@ -211,7 +197,7 @@ def cmd_check(args) -> int:
 def cmd_compare(args) -> int:
     _check_input(args)
     cfg = _build_config(args)
-    cutoffs, read = _sentences(args)
+    rungs = _rungs(args)
     goal = ParseGoal.strict() if args.goal == "strict" else ParseGoal.best_effort()
 
     def both(ts: TaggedSentence):
@@ -222,9 +208,12 @@ def cmd_compare(args) -> int:
 
     # on the rung ``parse`` answers on
     if args.goal == "strict":
-        _, _, (chart_side, plan_side) = _strict_rung(cutoffs, read, both)
+        for _, ts in rungs:
+            chart_side, plan_side = both(ts)
+            if chart_side or plan_side:
+                break
     else:
-        (chart_residue, chart_side), (plan_residue, plan_side) = both(read(cutoffs[-1]))
+        (chart_residue, chart_side), (plan_residue, plan_side) = both(rungs[-1][1])
         if plan_residue != chart_residue:
             print(f"residue differs: plan={plan_residue} oracle={chart_residue}")
             return 1

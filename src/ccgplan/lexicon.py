@@ -113,11 +113,10 @@ DEFAULT_CUTOFFS = (0.075, 0.03, 0.01)
 
 
 def ingest_supertags(source: str, cutoff: float = DEFAULT_CUTOFFS[0]) -> TaggedSentence:
-    """Read one supertagged sentence, pruning candidates by relative weight.
+    """Read one supertagged sentence and ``prune`` it at ``cutoff``.
 
-    Per token, candidates whose weight is at least ``cutoff`` times the
-    token's maximum weight survive, in descending-weight order; a category
-    listed more than once keeps only its highest weight.
+    Per token, candidates stand in descending-weight order, ties in line
+    order, and a category listed more than once keeps only its highest weight.
     """
     if not 0.0 < cutoff <= 1.0:
         raise ValueError(f"cutoff must be in (0, 1], got {cutoff}")
@@ -147,10 +146,19 @@ def ingest_supertags(source: str, cutoff: float = DEFAULT_CUTOFFS[0]) -> TaggedS
             if not 0.0 <= weight <= 1.0:
                 raise SupertagError(f"token {index}: probability {weight} outside [0, 1]")
             candidates.append(Candidate(cat, weight))
-        top = max(c.weight for c in candidates)
         kept: dict[Category, Candidate] = {}
         for c in sorted(candidates, key=lambda c: -c.weight):
-            if c.weight >= cutoff * top:
-                kept.setdefault(c.cat, c)
+            kept.setdefault(c.cat, c)
         tokens.append(Token(word, tuple(kept.values()), pos_tag))
-    return TaggedSentence(tuple(tokens))
+    return prune(TaggedSentence(tuple(tokens)), cutoff)
+
+
+def prune(ts: TaggedSentence, cutoff: float) -> TaggedSentence:
+    """Per token, the candidates whose weight is at least ``cutoff`` times
+    its first's, in the order they stand. On a sentence from
+    ``ingest_supertags`` the first is the highest and survives any cutoff,
+    so pruning its widest rung at ``cutoff`` reads the line at ``cutoff``."""
+    return TaggedSentence(tuple(
+        Token(t.word, tuple(c for c in t.candidates if c.weight >= cutoff * t.candidates[0].weight), t.pos_tag)
+        for t in ts.tokens
+    ))

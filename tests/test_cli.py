@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from ccgplan import ParseGoal, RuleConfig, load_lexicon, parse_all, tag_with_lexicon, to_json
+from ccgplan import (
+    ParseGoal,
+    RuleConfig,
+    ingest_supertags,
+    load_lexicon,
+    parse_all,
+    parse_category,
+    tag_with_lexicon,
+    to_json,
+)
 from ccgplan.cli import _EXT, main
 from ccgplan.lexicon import MAX_TOKENS
 from ccgplan.oracle import chart_parse_all
@@ -196,6 +205,40 @@ def test_supertag_single_cutoff_falls_back(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "mode=best-effort" in out
+
+
+# the verb's S\NP survives only the third default cutoff, and a walk of
+# 0.5,0.1 ends in best-effort
+THIRD_RUNG_SUPERTAGS = "John|NNP|NP:0.9 sleeps|VBZ|(S\\NP)/NP:0.9|S\\NP:0.02\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, answer",
+    [
+        (["parse"], 0, r"mode=strict residue=1 parses=1 \S+ cutoff=0\.01"),
+        (["parse", "--cutoffs", "0.5,0.1"], 2, r"mode=best-effort residue=1 parses=1 \S+ cutoff=0\.1"),
+        (["compare", "--goal", "strict"], 0, r"engines agree: 1 parses"),
+    ],
+    ids=["parse", "parse-best-effort", "compare"],
+)
+def test_the_supertag_line_is_read_once_per_call(tmp_path, monkeypatch, capsys, argv, code, answer):
+    tags = tmp_path / "tagged.txt"
+    tags.write_text(THIRD_RUNG_SUPERTAGS, encoding="utf-8")
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr("ccgplan.cli.ingest_supertags", counted("ingest", ingest_supertags))
+    monkeypatch.setattr("ccgplan.lexicon.parse_category", counted("parse", parse_category))
+    assert main([argv[0], "--supertags", str(tags), *argv[1:]]) == code
+    assert re.fullmatch(answer, capsys.readouterr().out.splitlines()[-1])
+    # one read, and each of the three candidates parsed once
+    assert (calls.count("ingest"), calls.count("parse")) == (1, 3)
 
 
 @pytest.mark.parametrize("reader", ["lexicon", "rules", "supertags"])

@@ -12,7 +12,7 @@ from ccgplan import (
     parse_category,
     tag_with_lexicon,
 )
-from ccgplan.lexicon import DEFAULT_CUTOFFS
+from ccgplan.lexicon import DEFAULT_CUTOFFS, prune
 
 
 def test_load_demo_lexicon(demo_lexicon_text):
@@ -176,3 +176,23 @@ def test_supertag_cutoff_never_empties_a_token(weight_rows, cutoff):
         assert token.candidates
         weights = [c.weight for c in token.candidates]
         assert weights == sorted(weights, reverse=True)
+
+
+# a small pool, so a token lists a category twice, and a weight grid with 0 and ties
+_POOL = ["NP", "N", "S\\NP", "(S\\NP)/NP", "NP/N"]
+_GRID = [0.0, 0.01, 0.02, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0]
+
+
+@given(
+    st.lists(
+        st.lists(st.tuples(st.sampled_from(_POOL), st.sampled_from(_GRID)), min_size=1, max_size=4),
+        min_size=1,
+        max_size=4,
+    ),
+    st.lists(st.sampled_from([1.0, 0.5, 0.1, 0.075, 0.03, 0.02, 0.01]), min_size=1, max_size=4, unique=True),
+)
+def test_pruning_the_widest_rung_reads_the_line_at_each_cutoff(rows, cutoffs):
+    line = " ".join(f"w{i}|X|" + "|".join(f"{cat}:{w}" for cat, w in row) for i, row in enumerate(rows))
+    ladder = sorted(cutoffs, reverse=True)
+    widest = ingest_supertags(line, ladder[-1])
+    assert [prune(widest, c) for c in ladder] == [ingest_supertags(line, c) for c in ladder]
