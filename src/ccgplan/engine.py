@@ -16,13 +16,13 @@ reduction is one binary or ternary rule; a type raise is applied to one
 of its inputs in the same reduction, so raised categories never sit in a
 search state and need no filter. Only a tree root may stand raised: the
 sentence under a strict goal when the raise yields the target, and any
-residue item under best-effort.
+residue item under best-effort, raised by ``_standing`` after the search.
 
 Strict and best-effort parsing differ only in their goal, so one
 memoized search serves both. It maps a state to the fewest items it
 reduces to and every packed sub-derivation reaching them: with a target
-category, one item of that category; without one, any residue, each item
-as it stands or raised. Nodes, the (category, producing combinator,
+category, one item of that category or raising to it; without one, any
+residue as it stands. Nodes, the (category, producing combinator,
 height) of an item, are interned to ints, and a state is the tuple of
 its items' node ids. Reductions reaching the same state share its memo
 entry, so commutative action orders are explored once; the memo depends
@@ -113,8 +113,8 @@ def effective_max_steps(cfg: RuleConfig, sentence_length: int) -> int:
 # futures compose with any path into the state; ``_materialize`` translates
 # node ids back. A reduction's recipe is the merged node over its inputs,
 # each as it stands or raised, so every raise node in a recipe sits under a
-# binary or ternary node or is a root. ``_recipes`` builds it only for a
-# successor whose result it keeps: one with recipes and no worse a residue.
+# binary or ternary node. ``_recipes`` builds it only for a successor whose
+# result it keeps: one with recipes and no worse a residue.
 _FOREST = -1
 
 
@@ -128,13 +128,11 @@ class _Tables:
     tuple's raised rules, every instance over its inputs as they stand or
     raised (``joined_instances``, or the tuple's own instances when no
     input can be raised); and a node tuple's reductions, the raised rules
-    that fit the height bound and the normal-form bans. ``ways`` stores
-    nothing: it builds a root's raised nodes from the stored raises. The
-    rule functions are looked up in this module's globals at each call.
-    No entry depends on a search's start state or target, so every search
-    over sentences of one length may share a table set: ``parse_all``
-    builds one per call, doing the rule work once for all of its
-    combinations.
+    that fit the height bound and the normal-form bans. The rule functions
+    are looked up in this module's globals at each call. No entry depends
+    on a search's start state or target, so every search over sentences of
+    one length may share a table set: ``parse_all`` builds one per call,
+    doing the rule work once for all of its combinations.
     """
 
     def __init__(self, cfg: RuleConfig, limit: int):
@@ -173,15 +171,6 @@ class _Tables:
         if found is None:
             found = self.counts[cat] = atom_count(cat)
         return found
-
-    def ways(self, nid: int) -> list[int | None]:
-        """The ways a node can stand as a tree root: as it stands (None),
-        or as a raised node within the height bound. No state node is a
-        raise, so nothing is raised twice."""
-        cat, _, height = self.nodes[nid]
-        if height >= self.limit:
-            return [None]
-        return [None, *[self.node(out, kind, height + 1) for kind, out in self.raises(cat)]]
 
     def raises(self, cat: Category) -> list[RuleInstance]:
         """The raise instances of one category, as (combinator, output
@@ -251,16 +240,16 @@ def _rebase(recipe, i: int, arity: int, built):
 
 def _recipes(state, tables, target, memo):
     """The fewest items ``state`` reduces to and every recipe reaching
-    them: with a ``target`` category, one item of that category (no
-    recipes if unreachable), without one, best-effort forests. Callers
-    look ``state`` up in ``memo`` first."""
+    them: with a ``target`` category, one item that is the target or
+    raises to it (no recipes if unreachable), without one, best-effort
+    forests. No root is raised here; ``_standing`` raises the answer's.
+    Callers look ``state`` up in ``memo`` first."""
     best = len(state) if target is None else 1
     found = set()
     if target is not None and len(state) == 1:
-        root = state[0]
-        for r in tables.ways(root):
-            if tables.nodes[root if r is None else r][0] == target:
-                found.add(0 if r is None else (r, (0,)))
+        cat, _, height = tables.nodes[state[0]]
+        if cat == target or height < tables.limit and any(out == target for _, out in tables.raises(cat)):
+            found.add(0)
     for arity in tables.arities:
         for i in range(len(state) - arity + 1):
             for merged, raises in tables.reductions(state[i : i + arity]):
@@ -274,9 +263,8 @@ def _recipes(state, tables, target, memo):
                 found.update([_rebase(sub, i, arity, built) for sub in subs])
     if not found and target is None:
         # every reduction shortens the state, so none applies: the items
-        # are the residue, each as it stands or raised
-        residue = product(*([j if r is None else (r, (j,)) for r in tables.ways(nid)] for j, nid in enumerate(state)))
-        found = {(_FOREST, items) for items in residue}
+        # are the residue
+        found = {(_FOREST, tuple(range(len(state))))}
     memo[state] = result = (best, found)
     return result
 
@@ -285,11 +273,17 @@ def _materialize(recipe, cats: tuple[Category, ...], tables: _Tables):
     if recipe.__class__ is int:
         return Leaf(None, cats[recipe], recipe + 1)
     nid, kids = recipe
-    built = tuple([_materialize(k, cats, tables) for k in kids])
-    if nid == _FOREST:
-        return built
     cat, kind, _ = tables.nodes[nid]
-    return Node(kind, cat, built)
+    return Node(kind, cat, tuple([_materialize(k, cats, tables) for k in kids]))
+
+
+def _standing(tree: DerivationTree, tables: _Tables) -> list[DerivationTree]:
+    """The ways an answer's root may stand: as it is, then raised by each
+    raise within the height bound. No root is a raise, so nothing is
+    raised twice."""
+    if tree_height(tree) >= tables.limit:
+        return [tree]
+    return [tree, *[Node(kind, out, (tree,)) for kind, out in tables.raises(tree.cat)]]
 
 
 def _parse(cats: Iterable[Category], cfg: RuleConfig, target: Category | None, tables: _Tables | None):
@@ -305,7 +299,12 @@ def _parse(cats: Iterable[Category], cfg: RuleConfig, target: Category | None, t
         return 1, set()
     state = tuple(tables.node(cat, None, 0) for cat in cats)
     best, recipes = _recipes(state, tables, target, {})
-    return best, {_materialize(r, cats, tables) for r in recipes}
+    if target is None:
+        forests = [[_standing(_materialize(k, cats, tables), tables) for k in kids] for _, kids in recipes]
+        return best, {forest for ways in forests for forest in product(*ways)}
+    trees = [_materialize(r, cats, tables) for r in recipes]
+    raised = [t for tree in trees if tree.cat != target for t in _standing(tree, tables)]
+    return best, {tree for tree in trees + raised if tree.cat == target}
 
 
 def enumerate_parses(

@@ -29,7 +29,7 @@ from ccgplan import (
     ternary_instances,
     unary_instances,
 )
-from ccgplan.rules import blocked
+from ccgplan.rules import RAISE_KINDS, blocked
 from brute import brute_best_effort, brute_strict_trees
 
 C = parse_category
@@ -319,6 +319,37 @@ def test_best_effort_nothing_combines():
     residue, forests = best_effort([C("N"), C("N")], RuleConfig(enabled={K.FWD_APPL, K.BWD_APPL}))
     assert residue == 2
     assert forests == {(Leaf(None, C("N"), 1), Leaf(None, C("N"), 2))}
+
+
+# root raises
+
+
+def _raised_roots(memo, tables):
+    """The recipe roots in ``memo`` that a raise produced, each member of a
+    best-effort forest counted as a root."""
+    roots = []
+    for _, recipes in memo.values():
+        for recipe in recipes:
+            forest = recipe.__class__ is tuple and recipe[0] == ccgplan.engine._FOREST
+            for root in recipe[1] if forest else [recipe]:
+                if root.__class__ is tuple and tables.nodes[root[0]][1] in RAISE_KINDS:
+                    roots.append(root)
+    return roots
+
+
+# an NP/NP chain reduces to one NP, which stands as it is and raised 6 ways;
+# a lone NP reaches S/(S\NP) only raised
+@pytest.mark.parametrize(
+    "cats, target, answers", [([C("NP/NP")] * 5 + [C("NP")], None, 7), ([C("NP")], C(r"S/(S\NP)"), 1)]
+)
+def test_no_memo_entry_holds_a_raised_root(cats, target, answers):
+    cfg = RuleConfig()
+    tables = ccgplan.engine._Tables(cfg, ccgplan.engine.effective_max_steps(cfg, len(cats)))
+    memo = {}
+    ccgplan.engine._recipes(tuple([tables.node(cat, None, 0) for cat in cats]), tables, target, memo)
+    assert memo and all(recipes for _, recipes in memo.values())
+    assert _raised_roots(memo, tables) == []
+    assert len(ccgplan.engine._parse(cats, cfg, target, tables)[1]) == answers
 
 
 # parse_all
