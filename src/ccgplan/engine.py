@@ -19,21 +19,22 @@ sentence under a strict goal when the raise yields the target, and any
 residue item under best-effort, raised by ``_standing`` after the search.
 
 Strict and best-effort parsing differ only in their goal, so one
-memoized search serves both. It maps a state to the fewest items it
-reduces to and every packed sub-derivation reaching them: with a target
+memoized search serves both. It maps a state to every packed
+sub-derivation reducing it to a given number of items: with a target
 category, one item of that category or raising to it; without one, any
-residue as it stands. Nodes, the (category, producing combinator,
-height) of an item, are interned to ints, and a state is the tuple of
-its items' node ids. Reductions reaching the same state share its memo
-entry, so commutative action orders are explored once; the memo depends
-on the target and belongs to one search. What an adjacent pair of nodes
-(or triple, under coordination) can reduce to depends on those nodes,
-the rule configuration and the height bound alone, so it is computed
-once and reused in every state where they are adjacent. Below that sits
-the rule work of a category pair (or triple): every rule over it with
-each input as it stands or raised, computed once, so a node pair only
-filters that list by height and by the normal-form bans. That list is
-found by lookup, not by trying each combination of raises:
+items as they stand. Best-effort asks for one item first, which visits
+every reachable state, then for the shortest one's length if longer.
+Nodes, the (category, producing combinator, height) of an item, are
+interned to ints, and a state is the tuple of its items' node ids.
+Reductions reaching the same state share its memo entry, so commutative
+action orders are explored once. What an adjacent pair of nodes (or
+triple, under coordination) can reduce to depends on those nodes, the
+rule configuration and the height bound alone, so it is computed once
+and reused in every state where they are adjacent. Below that sits the
+rule work of a category pair (or triple): every rule over it with each
+input as it stands or raised, computed once, so a node pair only filters
+that list by height and by the normal-form bans. That list is found by
+lookup, not by trying each combination of raises:
 ``rules.joined_instances`` indexes the right input's variants, as it
 stands and each raise, by the part each schema needs to match, and each
 left variant looks its own part up, so only combinations whose parts are
@@ -113,8 +114,7 @@ def effective_max_steps(cfg: RuleConfig, sentence_length: int) -> int:
 # futures compose with any path into the state; ``_materialize`` translates
 # node ids back. A reduction's recipe is the merged node over its inputs,
 # each as it stands or raised, so every raise node in a recipe sits under a
-# binary or ternary node. ``_recipes`` builds it only for a successor whose
-# result it keeps: one with recipes and no worse a residue.
+# binary or ternary node.
 _FOREST = -1
 
 
@@ -238,35 +238,29 @@ def _rebase(recipe, i: int, arity: int, built):
     return (nid, tuple([_rebase(k, i, arity, built) for k in kids]))
 
 
-def _recipes(state, tables, target, memo):
-    """The fewest items ``state`` reduces to and every recipe reaching
-    them: with a ``target`` category, one item that is the target or
-    raises to it (no recipes if unreachable), without one, best-effort
-    forests. No root is raised here; ``_standing`` raises the answer's.
-    Callers look ``state`` up in ``memo`` first."""
-    best = len(state) if target is None else 1
+def _recipes(state, tables, target, size, memo):
+    """Every recipe reducing ``state`` to ``size`` items: with a ``target``,
+    ``size`` is 1 and the item is the target or raises to it; without one,
+    any items, as a ``_FOREST`` node. No root is raised here (see
+    ``_standing``). Callers look ``state`` up in ``memo`` first."""
     found = set()
-    if target is not None and len(state) == 1:
+    if len(state) > size:
+        for arity in tables.arities:
+            for i in range(len(state) - arity + 1):
+                for merged, raises in tables.reductions(state[i : i + arity]):
+                    successor = state[:i] + (merged,) + state[i + arity :]
+                    subs = memo[successor] if successor in memo else _recipes(successor, tables, target, size, memo)
+                    if subs:
+                        built = (merged, tuple([j if r is None else (r, (j,)) for j, r in enumerate(raises, i)]))
+                        found.update([_rebase(sub, i, arity, built) for sub in subs])
+    elif len(state) == size and target is None:
+        found.add((_FOREST, tuple(range(size))))
+    elif len(state) == size:
         cat, _, height = tables.nodes[state[0]]
         if cat == target or height < tables.limit and any(out == target for _, out in tables.raises(cat)):
             found.add(0)
-    for arity in tables.arities:
-        for i in range(len(state) - arity + 1):
-            for merged, raises in tables.reductions(state[i : i + arity]):
-                successor = state[:i] + (merged,) + state[i + arity :]
-                sub_best, subs = memo.get(successor) or _recipes(successor, tables, target, memo)
-                if not subs or sub_best > best:
-                    continue
-                if sub_best < best:
-                    best, found = sub_best, set()
-                built = (merged, tuple([j if r is None else (r, (j,)) for j, r in enumerate(raises, i)]))
-                found.update([_rebase(sub, i, arity, built) for sub in subs])
-    if not found and target is None:
-        # every reduction shortens the state, so none applies: the items
-        # are the residue
-        found = {(_FOREST, tuple(range(len(state))))}
-    memo[state] = result = (best, found)
-    return result
+    memo[state] = found
+    return found
 
 
 def _materialize(recipe, cats: tuple[Category, ...], tables: _Tables):
@@ -287,24 +281,29 @@ def _standing(tree: DerivationTree, tables: _Tables) -> list[DerivationTree]:
 
 
 def _parse(cats: Iterable[Category], cfg: RuleConfig, target: Category | None, tables: _Tables | None):
-    """One search from a combination's categories at positions 1..n: the
-    fewest items reached, and the trees rooted at ``target`` or, without
-    one, the best-effort forests. ``tables`` must have been built for
-    ``cfg`` and this sentence length; None builds a fresh set. A strict
-    search whose categories cannot balance to ``target`` is not run."""
+    """Parse a combination's categories at positions 1..n: the fewest
+    items reached, and the trees rooted at ``target`` or, without one, the
+    best-effort forests, searching again for the fewest items when not 1.
+    ``tables`` must suit ``cfg`` and this length; None builds a fresh set.
+    A strict search that cannot balance is not run."""
     cats = tuple(cats)
     if tables is None:
         tables = _Tables(cfg, effective_max_steps(cfg, len(cats)))
     if target is not None and not tables.balances(cats, target):
         return 1, set()
     state = tuple(tables.node(cat, None, 0) for cat in cats)
-    best, recipes = _recipes(state, tables, target, {})
-    if target is None:
-        forests = [[_standing(_materialize(k, cats, tables), tables) for k in kids] for _, kids in recipes]
-        return best, {forest for ways in forests for forest in product(*ways)}
-    trees = [_materialize(r, cats, tables) for r in recipes]
-    raised = [t for tree in trees if tree.cat != target for t in _standing(tree, tables)]
-    return best, {tree for tree in trees + raised if tree.cat == target}
+    if target is not None:
+        trees = [_materialize(r, cats, tables) for r in _recipes(state, tables, target, 1, {})]
+        raised = [t for tree in trees if tree.cat != target for t in _standing(tree, tables)]
+        return 1, {tree for tree in trees + raised if tree.cat == target}
+    memo = {}
+    recipes = _recipes(state, tables, None, 1, memo)
+    fewest = min(map(len, memo))
+    memo.clear()
+    if fewest != 1:
+        recipes = _recipes(state, tables, None, fewest, {})
+    forests = [[_standing(_materialize(k, cats, tables), tables) for k in kids] for _, kids in recipes]
+    return fewest, {forest for ways in forests for forest in product(*ways)}
 
 
 def enumerate_parses(

@@ -321,6 +321,46 @@ def test_best_effort_nothing_combines():
     assert forests == {(Leaf(None, C("N"), 1), Leaf(None, C("N"), 2))}
 
 
+def test_best_effort_keeps_no_forest_it_does_not_answer_with(monkeypatch):
+    # the answer is one NP, but 502 of the 512 states the chain reaches
+    # cannot get there within the height bound: forests kept for their own
+    # fewest items would be rebased for nothing
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return rebase(*args)
+
+    rebase = ccgplan.engine._rebase
+    monkeypatch.setattr(ccgplan.engine, "_rebase", counting)
+    cats = [C("NP/NP")] * 9 + [C("NP")]
+    assert len(enumerate_parses(cats, RuleConfig(), ParseGoal.strict(C("NP")))) == 1
+    strict = len(calls)
+    calls.clear()
+    assert best_effort(cats, RuleConfig())[0] == 1
+    assert len(calls) <= 2 * strict
+
+
+# a residue of several items takes a second search, for that many items;
+# under coordination a ternary reduction skips a length on the way there
+@pytest.mark.parametrize(
+    "words, cfg, residue, forests",
+    [
+        ("zz The dog bit John zz The dog", RuleConfig(), 4, 7),
+        ("John and Mary zz", RuleConfig(enabled=RuleConfig().enabled | {K.COORD}), 2, 13),
+    ],
+)
+def test_best_effort_residue_of_several_items(demo_lexicon, words, cfg, residue, forests):
+    lexicon = {**demo_lexicon, **load_lexicon("zz\tQ\nMary\tNP\nand\tconj")}
+    ts = tag_with_lexicon(words.split(), lexicon)
+    found = parse_all(ts, cfg, ParseGoal.best_effort())
+    assert found[0] == residue
+    assert len(found[1]) == forests
+    assert found == chart_parse_all(ts, cfg, ParseGoal.best_effort())
+    cats = [tok.candidates[0].cat for tok in ts.tokens]
+    assert best_effort(cats, cfg) == brute_best_effort(cats, cfg)
+
+
 # root raises
 
 
@@ -328,7 +368,7 @@ def _raised_roots(memo, tables):
     """The recipe roots in ``memo`` that a raise produced, each member of a
     best-effort forest counted as a root."""
     roots = []
-    for _, recipes in memo.values():
+    for recipes in memo.values():
         for recipe in recipes:
             forest = recipe.__class__ is tuple and recipe[0] == ccgplan.engine._FOREST
             for root in recipe[1] if forest else [recipe]:
@@ -346,8 +386,8 @@ def test_no_memo_entry_holds_a_raised_root(cats, target, answers):
     cfg = RuleConfig()
     tables = ccgplan.engine._Tables(cfg, ccgplan.engine.effective_max_steps(cfg, len(cats)))
     memo = {}
-    ccgplan.engine._recipes(tuple([tables.node(cat, None, 0) for cat in cats]), tables, target, memo)
-    assert memo and all(recipes for _, recipes in memo.values())
+    # both reduce to one item, so the search for one item finds every answer
+    assert ccgplan.engine._recipes(tuple([tables.node(cat, None, 0) for cat in cats]), tables, target, 1, memo)
     assert _raised_roots(memo, tables) == []
     assert len(ccgplan.engine._parse(cats, cfg, target, tables)[1]) == answers
 
