@@ -55,9 +55,10 @@ count(X) - count(Y). Every combinator but ``<Sx`` and ``&``
 counts (van Benthem 1991), and so does a raise, at a root too. So while
 only those combinators are enabled, every tree over a combination has
 the sum of its categories' counts at its root, and a strict search whose
-sum differs from the target's count can find nothing: it returns before
-its start state is built. With ``<Sx`` or ``&`` enabled no search is
-skipped, and best-effort, which has no target, never skips.
+sum differs from the target's count can find nothing: ``parse_all`` does
+not run it. With ``<Sx`` or ``&`` enabled no search is skipped, and
+best-effort, which has no target, never skips. ``enumerate_parses`` and
+``best_effort`` search whatever combination they are given.
 """
 
 from __future__ import annotations
@@ -144,8 +145,6 @@ class _Tables:
         self.raises_of: dict[Category, list[RuleInstance]] = {}
         self.raised: dict[tuple[Category, ...], list] = {}
         self.reduced: dict[tuple[int, ...], list[tuple[int, tuple[int | None, ...]]]] = {}
-        self.counted = cfg.enabled <= COUNT_KEEPING_KINDS
-        self.counts: dict[Category, dict] = {}
 
     def node(self, cat: Category, kind: CombinatorKind | None, height: int) -> int:
         key = (cat, kind, height)
@@ -154,23 +153,6 @@ class _Tables:
             nid = self.node_ids[key] = len(self.nodes)
             self.nodes.append(key)
         return nid
-
-    def balances(self, cats: tuple[Category, ...], target: Category) -> bool:
-        """Whether the categories' atom counts sum to the target's; always
-        True when some enabled rule does not keep the count."""
-        if not self.counted:
-            return True
-        left = dict(self.count(target))
-        for cat in cats:
-            for atom, n in self.count(cat).items():
-                left[atom] = left.get(atom, 0) - n
-        return not any(left.values())
-
-    def count(self, cat: Category) -> dict:
-        found = self.counts.get(cat)
-        if found is None:
-            found = self.counts[cat] = atom_count(cat)
-        return found
 
     def raises(self, cat: Category) -> list[RuleInstance]:
         """The raise instances of one category, as (combinator, output
@@ -284,13 +266,10 @@ def _parse(cats: Iterable[Category], cfg: RuleConfig, target: Category | None, t
     """Parse a combination's categories at positions 1..n: the fewest
     items reached, and the trees rooted at ``target`` or, without one, the
     best-effort forests, searching again for the fewest items when not 1.
-    ``tables`` must suit ``cfg`` and this length; None builds a fresh set.
-    A strict search that cannot balance is not run."""
+    ``tables`` must suit ``cfg`` and this length; None builds a fresh set."""
     cats = tuple(cats)
     if tables is None:
         tables = _Tables(cfg, effective_max_steps(cfg, len(cats)))
-    if target is not None and not tables.balances(cats, target):
-        return 1, set()
     state = tuple(tables.node(cat, None, 0) for cat in cats)
     if target is not None:
         trees = [_materialize(r, cats, tables) for r in _recipes(state, tables, target, 1, {})]
@@ -323,6 +302,15 @@ def best_effort(
     return _parse(cats, cfg, None, tables)
 
 
+def _sums_to(counts: Iterable[dict], total: dict) -> bool:
+    """Whether atom counts sum to ``total``."""
+    left = dict(total)
+    for count in counts:
+        for atom, n in count.items():
+            left[atom] = left.get(atom, 0) - n
+    return not any(left.values())
+
+
 def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
     """Union over every candidate combination, deduplicated.
 
@@ -333,10 +321,18 @@ def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
     words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
     strict = goal.target is not None
     tables = _Tables(cfg, effective_max_steps(cfg, len(ts.tokens)))
+    # while every enabled rule keeps the atom count, a strict combination
+    # whose counts do not sum to the target's has no parse (module docstring)
+    counts = None
+    if strict and cfg.enabled <= COUNT_KEEPING_KINDS:
+        counts = {c.cat: atom_count(c.cat) for tok in ts.tokens for c in tok.candidates}
+        need = atom_count(goal.target)
     best: int | None = None
     found: set = set()
     for combo in product(*(tok.candidates for tok in ts.tokens)):
         cats = tuple([c.cat for c in combo])
+        if counts is not None and not _sums_to([counts[cat] for cat in cats], need):
+            continue
         # a strict search's trees count as residue-1 results of its combination
         if strict:
             residue, results = 1, enumerate_parses(cats, cfg, goal, tables=tables)

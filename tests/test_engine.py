@@ -236,31 +236,34 @@ def test_each_category_pair_is_combined_once_per_parse_all(monkeypatch, length, 
 # the count check
 
 
-def _record_every_rule_call(monkeypatch):
-    """Record the name of each rule function the engine calls."""
-    calls = []
-    for name in ("binary_instances", "unary_instances", "ternary_instances", "joined_instances"):
+def _record_searches(monkeypatch, name):
+    """Record the categories of each combination ``parse_all`` hands to the
+    engine function ``name``."""
+    searched = []
+    original = getattr(ccgplan.engine, name)
 
-        def recording(*args, _name=name, _original=getattr(ccgplan.engine, name)):
-            calls.append(_name)
-            return _original(*args)
+    def recording(cats, *args, **kwargs):
+        searched.append(tuple(cats))
+        return original(cats, *args, **kwargs)
 
-        monkeypatch.setattr(ccgplan.engine, name, recording)
-    return calls
+    monkeypatch.setattr(ccgplan.engine, name, recording)
+    return searched
 
 
-def test_a_combination_that_cannot_balance_to_the_target_does_no_rule_work(monkeypatch):
-    calls = _record_every_rule_call(monkeypatch)
+SLEEPS = TaggedSentence(
+    (Token("John", (Candidate(C("NP")),)), Token("sleeps", (Candidate(C(r"(S\NP)/NP")), Candidate(C(r"S\NP")))))
+)
+
+
+def test_parse_all_searches_only_the_strict_combinations_that_can_balance(monkeypatch):
+    strict = _record_searches(monkeypatch, "enumerate_parses")
+    fallback = _record_searches(monkeypatch, "best_effort")
     # NP and (S\NP)/NP count S - NP between them, and the target S counts S
-    unbalanced = [C("NP"), C(r"(S\NP)/NP")]
-    assert enumerate_parses(unbalanced, RuleConfig(), ParseGoal.strict()) == set()
-    assert calls == []
-    # best-effort has no target to balance to, so it searches
-    assert best_effort(unbalanced, RuleConfig())[0] == 1
-    assert calls
-    calls.clear()
-    assert len(enumerate_parses([C("NP"), C(r"S\NP")], RuleConfig(), ParseGoal.strict())) == 1
-    assert calls
+    assert len(parse_all(SLEEPS, RuleConfig(), ParseGoal.strict())) == 1
+    assert strict == [(C("NP"), C(r"S\NP"))]
+    # best-effort has no target to balance to, so it searches both
+    assert parse_all(SLEEPS, RuleConfig(), ParseGoal.best_effort())[0] == 1
+    assert fallback == [(C("NP"), C(r"(S\NP)/NP")), (C("NP"), C(r"S\NP"))]
 
 
 OFF_LEXICON = "\n".join(
