@@ -122,54 +122,53 @@ def parse_category(text: str) -> Category:
     parentheses, empty input, a dangling slash, or nesting deeper than
     ``MAX_DEPTH``.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> tuple[str, int] | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def too_deep(offset: int) -> CategoryError:
-        return CategoryError(f"category nested deeper than {MAX_DEPTH} levels", offset)
-
-    def parse_term(level: int) -> tuple[Category, int]:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise CategoryError("expected a category", len(text))
-        value, offset = tok
-        if value == "(":
-            if level == MAX_DEPTH:
-                raise too_deep(offset)
-            pos += 1
-            inner = parse_expr(level + 1)
-            closing = peek()
-            if closing is None or closing[0] != ")":
-                raise CategoryError("unbalanced parenthesis", offset)
-            pos += 1
-            return inner
-        if value in ")/\\":
-            raise CategoryError(f"expected a category, found {value!r}", offset)
-        pos += 1
-        return Atom(value), 0
-
-    def parse_expr(level: int) -> tuple[Category, int]:
-        nonlocal pos
-        node, depth = parse_term(level)
-        while True:
-            tok = peek()
-            if tok is None or tok[0] not in "/\\":
-                return node, depth
-            pos += 1
-            arg, arg_depth = parse_term(level)
-            node, depth = Functor(node, arg, tok[0] == "/"), 1 + max(depth, arg_depth)
-            if depth > MAX_DEPTH:
-                raise too_deep(tok[1])
-
-    result, _ = parse_expr(0)
-    trailing = peek()
-    if trailing is not None:
-        raise CategoryError(f"unexpected {trailing[0]!r}", trailing[1])
+    # reversed, so the next token is the last and taking it is a pop
+    tokens = _tokenize(text)[::-1]
+    result, _ = _parse_expr(tokens, len(text), 0)
+    if tokens:
+        value, offset = tokens[-1]
+        raise CategoryError(f"unexpected {value!r}", offset)
     return result
+
+
+# The parser's functions are module-level and take the token stack as an
+# argument: a nested function that calls itself refers to itself through
+# its closure, a reference cycle that only the cyclic collector frees.
+
+
+def _too_deep(offset: int) -> CategoryError:
+    return CategoryError(f"category nested deeper than {MAX_DEPTH} levels", offset)
+
+
+def _parse_term(tokens: list[tuple[str, int]], end: int, level: int) -> tuple[Category, int]:
+    """An atom or a parenthesized expression from the top of ``tokens``,
+    with its slash depth; ``end`` is the offset past the text's last character."""
+    if not tokens:
+        raise CategoryError("expected a category", end)
+    value, offset = tokens.pop()
+    if value == "(":
+        if level == MAX_DEPTH:
+            raise _too_deep(offset)
+        inner = _parse_expr(tokens, end, level + 1)
+        if not tokens or tokens[-1][0] != ")":
+            raise CategoryError("unbalanced parenthesis", offset)
+        tokens.pop()
+        return inner
+    if value in ")/\\":
+        raise CategoryError(f"expected a category, found {value!r}", offset)
+    return Atom(value), 0
+
+
+def _parse_expr(tokens: list[tuple[str, int]], end: int, level: int) -> tuple[Category, int]:
+    """Terms joined by slashes, left-associative, with its slash depth."""
+    node, depth = _parse_term(tokens, end, level)
+    while tokens and tokens[-1][0] in "/\\":
+        slash, offset = tokens.pop()
+        arg, arg_depth = _parse_term(tokens, end, level)
+        node, depth = Functor(node, arg, slash == "/"), 1 + max(depth, arg_depth)
+        if depth > MAX_DEPTH:
+            raise _too_deep(offset)
+    return node, depth
 
 
 def print_category(c: Category) -> str:

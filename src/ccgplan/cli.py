@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import os
 import re
 import sys
@@ -279,6 +280,12 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    # A command creates no reference cycles, so reference counting frees all
+    # it allocates, and a pass of the cyclic collector would only walk the
+    # search's memo and the answer trees. The collector is paused for the
+    # command, and restored as it was on any exit.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = _PARSER.parse_args(argv)
         code = args.func(args)
@@ -295,6 +302,9 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .categories import parse_category, print_category
 from .rules import CombinatorKind
@@ -21,20 +22,8 @@ def to_ascii(parse: DerivationTree | Sequence[DerivationTree]) -> str:
     trees = as_forest(parse)
     leaf_rows: list[Leaf] = []
     internals: list[tuple[int, int, int, DerivationTree]] = []
-
-    def visit(node: DerivationTree) -> tuple[int, int, int]:
-        if isinstance(node, Leaf):
-            ordinal = len(leaf_rows)
-            leaf_rows.append(node)
-            return ordinal, ordinal, 0
-        spans = [visit(c) for c in node.kids]
-        lo, hi = spans[0][0], spans[-1][1]
-        level = 1 + max(s[2] for s in spans)
-        internals.append((level, lo, hi, node))
-        return lo, hi, level
-
     for t in trees:
-        visit(t)
+        _place(t, leaf_rows, internals)
 
     widths = [
         max(len(leaf.word or ""), len(print_category(leaf.cat)))
@@ -84,6 +73,28 @@ def to_ascii(parse: DerivationTree | Sequence[DerivationTree]) -> str:
         rows.append(line_row)
         rows.append(cat_row)
     return "\n".join("".join(row).rstrip() for row in rows)
+
+
+# ``_place`` and ``_dot_node`` are module-level and take their state as
+# arguments: a nested function that calls itself refers to itself through
+# its closure, a reference cycle that would keep the layout alive until the
+# cyclic collector ran.
+
+
+def _place(
+    node: DerivationTree, leaf_rows: list[Leaf], internals: list[tuple[int, int, int, DerivationTree]]
+) -> tuple[int, int, int]:
+    """Append ``node``'s leaves to ``leaf_rows`` and its internal nodes to
+    ``internals`` as (level, first leaf, last leaf, node); its own triple."""
+    if isinstance(node, Leaf):
+        ordinal = len(leaf_rows)
+        leaf_rows.append(node)
+        return ordinal, ordinal, 0
+    spans = [_place(c, leaf_rows, internals) for c in node.kids]
+    lo, hi = spans[0][0], spans[-1][1]
+    level = 1 + max(s[2] for s in spans)
+    internals.append((level, lo, hi, node))
+    return lo, hi, level
 
 
 def to_json(parse: DerivationTree | Sequence[DerivationTree]) -> str:
@@ -162,22 +173,22 @@ def to_dot(parse: DerivationTree | Sequence[DerivationTree]) -> str:
     """One digraph; node ids follow preorder so output diffs are stable."""
     trees = as_forest(parse)
     lines = ["digraph derivation {", "  node [shape=plaintext];"]
-    counter = 0
-
-    def visit(node: DerivationTree) -> str:
-        nonlocal counter
-        node_id = f"n{counter}"
-        counter += 1
-        label = _dot_escape(print_category(node.cat))
-        if isinstance(node, Leaf) and node.word is not None:
-            label = _dot_escape(node.word) + "\\n" + label
-        lines.append(f'  {node_id} [label="{label}"];')
-        for child in node.kids:
-            child_id = visit(child)
-            lines.append(f"  {node_id} -> {child_id};")
-        return node_id
-
+    ids = itertools.count()
     for t in trees:
-        visit(t)
+        _dot_node(t, lines, ids)
     lines.append("}")
     return "\n".join(lines)
+
+
+def _dot_node(node: DerivationTree, lines: list[str], ids: Iterator[int]) -> str:
+    """Append ``node``'s subtree to ``lines`` in preorder, its ids drawn
+    from ``ids``; the node's own id."""
+    node_id = f"n{next(ids)}"
+    label = _dot_escape(print_category(node.cat))
+    if isinstance(node, Leaf) and node.word is not None:
+        label = _dot_escape(node.word) + "\\n" + label
+    lines.append(f'  {node_id} [label="{label}"];')
+    for child in node.kids:
+        child_id = _dot_node(child, lines, ids)
+        lines.append(f"  {node_id} -> {child_id};")
+    return node_id

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -529,3 +530,80 @@ def test_a_closed_stdout_exits_1_with_nothing_on_stderr(tmp_path):
         proc.kill()
     assert first == b"# parse 1 of 524\n"
     assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.fixture
+def collector():
+    """Leaves the cyclic garbage collector as the test found it."""
+    collecting = gc.isenabled()
+    yield
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_a_command_runs_with_the_collector_paused(lexicon_file, monkeypatch, capsys, collector):
+    seen = []
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return parse_all(*args)
+
+    monkeypatch.setattr("ccgplan.cli.parse_all", recording)
+    gc.enable()
+    assert main(["parse", "--lexicon", lexicon_file, "--words", "The dog bit John"]) == 0
+    assert seen == [False]
+    assert "parses=1" in capsys.readouterr().out
+
+
+def _search_fails(*args):
+    raise RuntimeError("search failed")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "extra, search, outcome",
+    [([], parse_all, 0), (["--cutoffs", "abc"], parse_all, 1), ([], _search_fails, RuntimeError)],
+    ids=["success", "usage-error", "crash"],
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    lexicon_file, monkeypatch, capsys, collector, collecting, extra, search, outcome
+):
+    monkeypatch.setattr("ccgplan.cli.parse_all", search)
+    argv = ["parse", "--lexicon", lexicon_file, "--words", "The dog bit John", *extra]
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+    if outcome is RuntimeError:
+        with pytest.raises(RuntimeError, match="search failed"):
+            main(argv)
+    else:
+        assert main(argv) == outcome
+    assert gc.isenabled() is collecting
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--lexicon", "LEXICON", "--words", "The dog bit John", "--normalize", "off", "--format", "ascii"],
+        ["parse", "--lexicon", "LEXICON", "--words", "The dog bit John", "--normalize", "off", "--format", "json"],
+        ["parse", "--lexicon", "LEXICON", "--words", "The dog bit John", "--normalize", "off", "--format", "dot"],
+        ["parse", "--lexicon", "LEXICON", "--words", "The dog bit"],
+        ["parse", "--supertags", "SUPERTAGS"],
+        ["check", "--lexicon", "LEXICON"],
+        ["compare", "--lexicon", "LEXICON", "--words", "The dog bit John"],
+    ],
+    ids=["ascii", "json", "dot", "best-effort", "supertags", "check", "compare"],
+)
+def test_a_command_leaves_no_cyclic_garbage(lexicon_file, tmp_path, capsys, collector, argv):
+    # with no cycles, reference counting frees all a command allocates, so
+    # pausing the collector for the command defers no garbage
+    tags = tmp_path / "tagged.txt"
+    tags.write_text(LADDER_SUPERTAGS, encoding="utf-8")
+    argv = [{"LEXICON": lexicon_file, "SUPERTAGS": str(tags)}.get(arg, arg) for arg in argv]
+    gc.disable()
+    gc.collect()
+    assert main(argv) in (0, 2)
+    assert gc.collect() == 0
