@@ -18,13 +18,9 @@ search state and need no filter. Only a tree root may stand raised: the
 sentence under a strict goal when the raise yields the target, and any
 residue item under best-effort, raised by ``_standing`` after the search.
 
-Strict and best-effort parsing differ only in their goal, so one
-memoized search serves both. It maps a state to every packed
-sub-derivation reducing it to a given number of items: with a target
-category, one item of that category or raising to it; without one, any
-items as they stand. Best-effort asks for one item first, which visits
-every reachable state, then for the shortest one's length if longer.
-Nodes, the (category, producing combinator, height) of an item, are
+The strict search is memoized: it maps a state to every packed
+sub-derivation reducing it to one item of the target category or raising
+to it. Nodes, the (category, producing combinator, height) of an item, are
 interned to ints, and a state is the tuple of its items' node ids.
 Reductions reaching the same state share its memo entry, so commutative
 action orders are explored once. What an adjacent pair of nodes (or
@@ -42,8 +38,8 @@ the same category reach a schema's output. A tuple none of whose
 categories can be raised takes the rule instances of its categories as
 they stand. Categories are interned, so the tables and the join hash and
 compare them by identity. A sentence's candidate combinations all have
-its length, so ``parse_all`` builds these tables once and its searches,
-one per combination, share them. The trees found are exactly those
+its length, so ``parse_all`` builds these tables once and its strict
+searches, one per combination, share them. The trees found are exactly those
 denoted by admissible canonical plans; ``canonical_plan`` rebuilds the
 concurrent plan for any of them.
 
@@ -56,15 +52,20 @@ counts (van Benthem 1991), and so does a raise, at a root too. So while
 only those combinators are enabled, every tree over a combination has
 the sum of its categories' counts at its root, and a strict search whose
 sum differs from the target's count can find nothing: ``parse_all`` does
-not run it. With ``<Sx`` or ``&`` enabled no search is skipped, and
-best-effort, which has no target, never skips. ``enumerate_parses`` and
-``best_effort`` search whatever combination they are given.
+not run it. With ``<Sx`` or ``&`` enabled no search is skipped.
+``enumerate_parses`` searches whatever combination it is given.
+
+Best-effort runs no state search but one chart over the candidate lattice
+(Billot & Lang 1989) on the same tables. Cell (i, j) maps each node built
+over tokens i..j-1 to its backpointers. A segmentation takes each segment's
+candidates on its own, so its segmentations into the fewest non-empty cells
+give the fewest items over all combinations, and every forest of that many.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .categories import Category
@@ -108,15 +109,11 @@ def effective_max_steps(cfg: RuleConfig, sentence_length: int) -> int:
 
 # A search's packed sub-derivations ("recipes") are trees of ints over the
 # item indices of some state: a leaf is the item's index, a node is (node
-# id, children), and a best-effort forest is a node with the reserved id
-# ``_FOREST`` whose children are the residue items. A node id gives the
-# node's combinator and category; its height, also in the id, follows from
-# its children. Rebasing maps a recipe across one reduction so memoized
-# futures compose with any path into the state; ``_materialize`` translates
-# node ids back. A reduction's recipe is the merged node over its inputs,
-# each as it stands or raised, so every raise node in a recipe sits under a
-# binary or ternary node.
-_FOREST = -1
+# id, children), the id giving its combinator, category and height. Rebasing
+# maps a recipe across one reduction so memoized futures compose with any
+# path into the state; ``_materialize`` translates node ids back. A
+# reduction's recipe is the merged node over its inputs, each as it stands
+# or raised, so every raise node in a recipe sits under a binary or ternary node.
 
 
 class _Tables:
@@ -132,8 +129,8 @@ class _Tables:
     that fit the height bound and the normal-form bans. The rule functions
     are looked up in this module's globals at each call. No entry depends
     on a search's start state or target, so every search over sentences of
-    one length may share a table set: ``parse_all`` builds one per call,
-    doing the rule work once for all of its combinations.
+    one length may share a table set: a strict ``parse_all`` builds one per
+    call for all of its combinations, and ``best_effort`` one per chart.
     """
 
     def __init__(self, cfg: RuleConfig, limit: int):
@@ -220,24 +217,21 @@ def _rebase(recipe, i: int, arity: int, built):
     return (nid, tuple([_rebase(k, i, arity, built) for k in kids]))
 
 
-def _recipes(state, tables, target, size, memo):
-    """Every recipe reducing ``state`` to ``size`` items: with a ``target``,
-    ``size`` is 1 and the item is the target or raises to it; without one,
-    any items, as a ``_FOREST`` node. No root is raised here (see
-    ``_standing``). Callers look ``state`` up in ``memo`` first."""
+def _recipes(state, tables, target, memo):
+    """Every recipe reducing ``state`` to one item that is ``target`` or
+    raises to it. No root is raised here (see ``_standing``). Callers look
+    ``state`` up in ``memo`` first."""
     found = set()
-    if len(state) > size:
+    if len(state) > 1:
         for arity in tables.arities:
             for i in range(len(state) - arity + 1):
                 for merged, raises in tables.reductions(state[i : i + arity]):
                     successor = state[:i] + (merged,) + state[i + arity :]
-                    subs = memo[successor] if successor in memo else _recipes(successor, tables, target, size, memo)
+                    subs = memo[successor] if successor in memo else _recipes(successor, tables, target, memo)
                     if subs:
                         built = (merged, tuple([j if r is None else (r, (j,)) for j, r in enumerate(raises, i)]))
                         found.update([_rebase(sub, i, arity, built) for sub in subs])
-    elif len(state) == size and target is None:
-        found.add((_FOREST, tuple(range(size))))
-    elif len(state) == size:
+    elif len(state) == 1:
         cat, _, height = tables.nodes[state[0]]
         if cat == target or height < tables.limit and any(out == target for _, out in tables.raises(cat)):
             found.add(0)
@@ -262,44 +256,61 @@ def _standing(tree: DerivationTree, tables: _Tables) -> list[DerivationTree]:
     return [tree, *[Node(kind, out, (tree,)) for kind, out in tables.raises(tree.cat)]]
 
 
-def _parse(cats: Iterable[Category], cfg: RuleConfig, target: Category | None, tables: _Tables | None):
-    """Parse a combination's categories at positions 1..n: the fewest
-    items reached, and the trees rooted at ``target`` or, without one, the
-    best-effort forests, searching again for the fewest items when not 1.
-    ``tables`` must suit ``cfg`` and this length; None builds a fresh set."""
+def enumerate_parses(
+    cats: Iterable[Category], cfg: RuleConfig, goal: ParseGoal, *, tables: _Tables | None = None
+) -> set[DerivationTree]:
+    """All distinct derivation trees over the categories at positions 1..n
+    whose canonical plan reaches the goal within ``max_steps``; empty when
+    it is unreachable. ``tables`` must suit ``cfg`` and n; None builds them."""
+    if goal.target is None:
+        raise ValueError("enumerate_parses handles strict goals; use best_effort")
     cats = tuple(cats)
     if tables is None:
         tables = _Tables(cfg, effective_max_steps(cfg, len(cats)))
     state = tuple(tables.node(cat, None, 0) for cat in cats)
-    if target is not None:
-        trees = [_materialize(r, cats, tables) for r in _recipes(state, tables, target, 1, {})]
-        raised = [t for tree in trees if tree.cat != target for t in _standing(tree, tables)]
-        return 1, {tree for tree in trees + raised if tree.cat == target}
-    memo = {}
-    recipes = _recipes(state, tables, None, 1, memo)
-    fewest = min(map(len, memo))
-    memo.clear()
-    if fewest != 1:
-        recipes = _recipes(state, tables, None, fewest, {})
-    forests = [[_standing(_materialize(k, cats, tables), tables) for k in kids] for _, kids in recipes]
-    return fewest, {forest for ways in forests for forest in product(*ways)}
+    trees = [_materialize(r, cats, tables) for r in _recipes(state, tables, goal.target, {})]
+    raised = [t for tree in trees if tree.cat != goal.target for t in _standing(tree, tables)]
+    return {tree for tree in trees + raised if tree.cat == goal.target}
 
 
-def enumerate_parses(
-    cats: Iterable[Category], cfg: RuleConfig, goal: ParseGoal, *, tables: _Tables | None = None
-) -> set[DerivationTree]:
-    """All distinct derivation trees whose canonical plan reaches the goal
-    within ``max_steps``. Empty when the goal is unreachable."""
-    if goal.target is None:
-        raise ValueError("enumerate_parses handles strict goals; use best_effort")
-    return _parse(cats, cfg, goal.target, tables)[1]
-
-
-def best_effort(
-    cats: Iterable[Category], cfg: RuleConfig, *, tables: _Tables | None = None
-) -> tuple[int, set[tuple[DerivationTree, ...]]]:
-    """Minimal reachable residue length and every forest achieving it."""
-    return _parse(cats, cfg, None, tables)
+def best_effort(lattice: Iterable[Iterable[Category]], cfg: RuleConfig) -> tuple[int, set[tuple[DerivationTree, ...]]]:
+    """The fewest items the candidates at positions 1..n reduce to, and every forest of that many."""
+    lattice = list(lattice)
+    tables = _Tables(cfg, effective_max_steps(cfg, len(lattice)))
+    # filled left to right, with the segmentations of tokens 0..j-1 into the fewest non-empty cells;
+    # a backpointer is (input spans, input node ids, raised node id or None per input)
+    cells, best, segmentations = {}, [0], [[()]]
+    for j, cats in enumerate(lattice, 1):
+        cells[(j - 1, j)] = {tables.node(cat, None, 0): [] for cat in cats}
+        for i in range(j - 2, -1, -1):
+            cell = cells[(i, j)] = {}
+            for cuts in [c for arity in tables.arities for c in combinations(range(i + 1, j), arity - 1)]:
+                spans = tuple(zip((i, *cuts), (*cuts, j)))
+                for key in product(*[cells[span] for span in spans]):
+                    for merged, raises in tables.reductions(key):
+                        cell.setdefault(merged, []).append((spans, key, raises))
+        ends = [i for i in range(j) if cells[(i, j)]]
+        best.append(min([best[i] + 1 for i in ends]))
+        segmentations.append([(*s, (i, j)) for i in ends if best[i] + 1 == best[j] for s in segmentations[i]])
+    # each (span, node) of the answer is unpacked once, after the (span, node)s below it
+    trees: dict = {}
+    todo = [(span, nid) for spans in segmentations[-1] for span in spans for nid in cells[span]]
+    while todo:
+        span, nid = item = todo.pop()
+        below = [pair for spans, key, _ in cells[span][nid] for pair in zip(spans, key) if pair not in trees]
+        if below:
+            todo += [item, *below]
+        elif item not in trees:
+            cat, kind, _ = tables.nodes[nid]
+            trees[item] = [] if kind else [Leaf(None, cat, span[1])]
+            for spans, key, raises in cells[span][nid]:
+                inputs = [trees[pair] for pair in zip(spans, key)]
+                for x, (out, rule, _) in [(x, tables.nodes[r]) for x, r in enumerate(raises) if r is not None]:
+                    inputs[x] = [Node(rule, out, (t,)) for t in inputs[x]]
+                trees[item] += [Node(kind, cat, kids) for kids in product(*inputs)]
+    ways = [[[t for nid in cells[span] for tree in trees[span, nid] for t in _standing(tree, tables)] for span in spans]
+            for spans in segmentations[-1]]
+    return best[-1], {forest for way in ways for forest in product(*way)}
 
 
 def _sums_to(counts: Iterable[dict], total: dict) -> bool:
@@ -312,38 +323,27 @@ def _sums_to(counts: Iterable[dict], total: dict) -> bool:
 
 
 def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
-    """Union over every candidate combination, deduplicated.
-
-    Strict: a set of derivation trees. Best-effort: the globally minimal
-    residue length across combinations plus all forests achieving it.
-    Leaves carry the sentence's words.
-    """
+    """Strict: every derivation tree over any candidate combination.
+    Best-effort: the fewest items over the candidate lattice and every
+    forest of that many. Leaves carry the sentence's words."""
     words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
-    strict = goal.target is not None
+    if goal.target is None:
+        residue, forests = best_effort([[c.cat for c in tok.candidates] for tok in ts.tokens], cfg)
+        return residue, {tuple([attach_words(t, words) for t in forest]) for forest in forests}
     tables = _Tables(cfg, effective_max_steps(cfg, len(ts.tokens)))
     # while every enabled rule keeps the atom count, a strict combination
     # whose counts do not sum to the target's has no parse (module docstring)
     counts = None
-    if strict and cfg.enabled <= COUNT_KEEPING_KINDS:
+    if cfg.enabled <= COUNT_KEEPING_KINDS:
         counts = {c.cat: atom_count(c.cat) for tok in ts.tokens for c in tok.candidates}
         need = atom_count(goal.target)
-    best: int | None = None
     found: set = set()
     for combo in product(*(tok.candidates for tok in ts.tokens)):
         cats = tuple([c.cat for c in combo])
         if counts is not None and not _sums_to([counts[cat] for cat in cats], need):
             continue
-        # a strict search's trees count as residue-1 results of its combination
-        if strict:
-            residue, results = 1, enumerate_parses(cats, cfg, goal, tables=tables)
-        else:
-            residue, results = best_effort(cats, cfg, tables=tables)
-        if best is None or residue < best:
-            best, found = residue, set()
-        if residue == best:
-            for entry in results:
-                found.add(attach_words(entry, words) if strict else tuple(attach_words(t, words) for t in entry))
-    return found if strict else (best, found)
+        found.update([attach_words(tree, words) for tree in enumerate_parses(cats, cfg, goal, tables=tables)])
+    return found
 
 
 def canonical_plan(parse: DerivationTree | Sequence[DerivationTree]) -> Plan:

@@ -208,6 +208,15 @@ def test_supertag_single_cutoff_falls_back(tmp_path, capsys):
     assert "mode=best-effort" in out
 
 
+def test_best_effort_on_a_long_line_of_two_candidates_per_token(tmp_path, capsys):
+    # 19 tokens of two candidates each are 524,288 combinations, which one chart holds
+    bigs = "big|JJ|NP/NP:0.9|N/N:0.5 " * 16
+    tags = tmp_path / "tagged.txt"
+    tags.write_text(f"John|NNP|NP:0.9|S/S:0.5 saw|VBD|(S\\NP)/NP:0.9|S\\NP:0.5 {bigs}dogs|NNS|NP:0.9|N:0.5\n")
+    assert main(["parse", "--supertags", str(tags), "--goal", "best-effort"]) == 2
+    assert "mode=best-effort residue=1 parses=1 " in capsys.readouterr().out
+
+
 # the verb's S\NP survives only the third default cutoff, and a walk of
 # 0.5,0.1 ends in best-effort
 THIRD_RUNG_SUPERTAGS = "John|NNP|NP:0.9 sleeps|VBZ|(S\\NP)/NP:0.9|S\\NP:0.02\n"

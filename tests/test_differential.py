@@ -93,7 +93,7 @@ def test_all_combinators_match_brute_force_best_effort():
     for case in range(36):
         cats = _sentence(rng, SHAPES)
         cfg = _all_rules_config(case, len(cats))
-        assert best_effort(cats, cfg) == brute_best_effort(cats, cfg), f"case {case}: {cats} {cfg}"
+        assert best_effort([[c] for c in cats], cfg) == brute_best_effort(cats, cfg), f"case {case}: {cats} {cfg}"
 
 
 def _oracle_config(case, n):

@@ -261,9 +261,9 @@ def test_parse_all_searches_only_the_strict_combinations_that_can_balance(monkey
     # NP and (S\NP)/NP count S - NP between them, and the target S counts S
     assert len(parse_all(SLEEPS, RuleConfig(), ParseGoal.strict())) == 1
     assert strict == [(C("NP"), C(r"S\NP"))]
-    # best-effort has no target to balance to, so it searches both
+    # best-effort has no target to balance to: its one chart holds both
     assert parse_all(SLEEPS, RuleConfig(), ParseGoal.best_effort())[0] == 1
-    assert fallback == [(C("NP"), C(r"(S\NP)/NP")), (C("NP"), C(r"S\NP"))]
+    assert fallback == [([C("NP")], [C(r"(S\NP)/NP"), C(r"S\NP")])]
 
 
 OFF_LEXICON = "\n".join(
@@ -313,39 +313,34 @@ def test_best_effort_the_dog_bit(demo_lexicon):
 
 
 def test_best_effort_single_word():
-    residue, forests = best_effort([C("N")], RuleConfig())
+    residue, forests = best_effort([[C("N")]], RuleConfig())
     assert residue == 1
     assert forests == {(Leaf(None, C("N"), 1),)}
 
 
 def test_best_effort_nothing_combines():
-    residue, forests = best_effort([C("N"), C("N")], RuleConfig(enabled={K.FWD_APPL, K.BWD_APPL}))
+    residue, forests = best_effort([[C("N")], [C("N")]], RuleConfig(enabled={K.FWD_APPL, K.BWD_APPL}))
     assert residue == 2
     assert forests == {(Leaf(None, C("N"), 1), Leaf(None, C("N"), 2))}
 
 
-def test_best_effort_keeps_no_forest_it_does_not_answer_with(monkeypatch):
-    # the answer is one NP, but 502 of the 512 states the chain reaches
-    # cannot get there within the height bound: forests kept for their own
-    # fewest items would be rebased for nothing
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return rebase(*args)
-
-    rebase = ccgplan.engine._rebase
-    monkeypatch.setattr(ccgplan.engine, "_rebase", counting)
-    cats = [C("NP/NP")] * 9 + [C("NP")]
-    assert len(enumerate_parses(cats, RuleConfig(), ParseGoal.strict(C("NP")))) == 1
-    strict = len(calls)
-    calls.clear()
-    assert best_effort(cats, RuleConfig())[0] == 1
-    assert len(calls) <= 2 * strict
+def _two_candidate_line(n):
+    """*John saw big … dogs*, every token with two candidates."""
+    pairs = [("NP", "S/S"), (r"(S\NP)/NP", r"S\NP")] + [("NP/NP", "N/N")] * (n - 3) + [("NP", "N")]
+    return TaggedSentence(tuple(Token(f"w{i}", (Candidate(C(a)), Candidate(C(b)))) for i, (a, b) in enumerate(pairs)))
 
 
-# a residue of several items takes a second search, for that many items;
-# under coordination a ternary reduction skips a length on the way there
+def test_best_effort_builds_one_chart_over_every_candidate(monkeypatch):
+    # 12 tokens of two candidates each are 4,096 combinations
+    ts = _two_candidate_line(12)
+    fallback = _record_searches(monkeypatch, "best_effort")
+    found = parse_all(ts, RuleConfig(), ParseGoal.best_effort())
+    assert len(fallback) == 1
+    assert found == chart_parse_all(ts, RuleConfig(), ParseGoal.best_effort(), guard=12)
+
+
+# a residue of several items; under coordination a ternary reduction skips
+# a length on the way there
 @pytest.mark.parametrize(
     "words, cfg, residue, forests",
     [
@@ -361,38 +356,30 @@ def test_best_effort_residue_of_several_items(demo_lexicon, words, cfg, residue,
     assert len(found[1]) == forests
     assert found == chart_parse_all(ts, cfg, ParseGoal.best_effort())
     cats = [tok.candidates[0].cat for tok in ts.tokens]
-    assert best_effort(cats, cfg) == brute_best_effort(cats, cfg)
+    assert best_effort([[c] for c in cats], cfg) == brute_best_effort(cats, cfg)
 
 
 # root raises
 
 
 def _raised_roots(memo, tables):
-    """The recipe roots in ``memo`` that a raise produced, each member of a
-    best-effort forest counted as a root."""
+    """The recipe roots in ``memo`` that a raise produced."""
     roots = []
     for recipes in memo.values():
         for recipe in recipes:
-            forest = recipe.__class__ is tuple and recipe[0] == ccgplan.engine._FOREST
-            for root in recipe[1] if forest else [recipe]:
-                if root.__class__ is tuple and tables.nodes[root[0]][1] in RAISE_KINDS:
-                    roots.append(root)
+            if recipe.__class__ is tuple and tables.nodes[recipe[0]][1] in RAISE_KINDS:
+                roots.append(recipe)
     return roots
 
 
-# an NP/NP chain reduces to one NP, which stands as it is and raised 6 ways;
 # a lone NP reaches S/(S\NP) only raised
-@pytest.mark.parametrize(
-    "cats, target, answers", [([C("NP/NP")] * 5 + [C("NP")], None, 7), ([C("NP")], C(r"S/(S\NP)"), 1)]
-)
-def test_no_memo_entry_holds_a_raised_root(cats, target, answers):
-    cfg = RuleConfig()
+def test_no_memo_entry_holds_a_raised_root():
+    cats, target, cfg = [C("NP")], C(r"S/(S\NP)"), RuleConfig()
     tables = ccgplan.engine._Tables(cfg, ccgplan.engine.effective_max_steps(cfg, len(cats)))
     memo = {}
-    # both reduce to one item, so the search for one item finds every answer
-    assert ccgplan.engine._recipes(tuple([tables.node(cat, None, 0) for cat in cats]), tables, target, 1, memo)
+    assert ccgplan.engine._recipes(tuple([tables.node(cat, None, 0) for cat in cats]), tables, target, memo)
     assert _raised_roots(memo, tables) == []
-    assert len(ccgplan.engine._parse(cats, cfg, target, tables)[1]) == answers
+    assert len(enumerate_parses(cats, cfg, ParseGoal.strict(target), tables=tables)) == 1
 
 
 # parse_all
@@ -420,9 +407,9 @@ def test_the_search_takes_any_iterable_of_categories():
     assert len(trees) > 1
     assert enumerate_parses(DEMO, cfg, ParseGoal.strict()) == trees
     assert enumerate_parses((c for c in DEMO), cfg, ParseGoal.strict()) == trees
-    fallback = best_effort(list(DEMO[:3]), cfg)
-    assert best_effort(DEMO[:3], cfg) == fallback
-    assert best_effort((c for c in DEMO[:3]), cfg) == fallback
+    fallback = best_effort([[c] for c in DEMO[:3]], cfg)
+    assert best_effort(tuple((c,) for c in DEMO[:3]), cfg) == fallback
+    assert best_effort(((c,) for c in DEMO[:3]), cfg) == fallback
 
 
 # canonical plans
@@ -474,7 +461,7 @@ def test_engine_best_effort_matches_brute_force():
     for case in range(12):
         cats = _random_cats(rng)
         cfg = _quadrant_config(case, len(cats))
-        assert best_effort(cats, cfg) == brute_best_effort(cats, cfg)
+        assert best_effort([[c] for c in cats], cfg) == brute_best_effort(cats, cfg)
 
 
 def test_canonical_plans_are_unique_per_tree_for_application_only():

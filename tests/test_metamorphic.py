@@ -180,8 +180,9 @@ def test_strict_parses_are_the_residue_one_trees_rooted_at_the_target(case):
 @EXAMPLES
 @given(cases() | shaped_cases())
 def test_parse_all_is_the_union_of_one_fresh_search_per_combination(case):
-    """``parse_all``'s searches share one table set; they find what
-    searches with a table set each find."""
+    """``parse_all``'s strict searches share one table set, and its
+    best-effort chart holds every candidate at once; they find what one
+    fresh search per combination finds."""
     ts, cfg = case
     words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
     trees = set()
@@ -189,7 +190,7 @@ def test_parse_all_is_the_union_of_one_fresh_search_per_combination(case):
     for combo in product(*(tok.candidates for tok in ts.tokens)):
         cats = [c.cat for c in combo]
         trees |= {attach_words(t, words) for t in enumerate_parses(cats, cfg, STRICT)}
-        residue, forests = best_effort(cats, cfg)
+        residue, forests = best_effort([[c] for c in cats], cfg)
         fallbacks.append((residue, {tuple(attach_words(t, words) for t in forest) for forest in forests}))
     best = min(residue for residue, _ in fallbacks)
     assert parse_all(ts, cfg, STRICT) == trees

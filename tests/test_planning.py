@@ -231,7 +231,7 @@ def test_canonical_plan_replays_to_goal():
 def test_canonical_plan_of_forest_schedules_both_trees():
     cats = [C("A/B"), C("B"), C("C/D"), C("D")]
     cfg = RuleConfig(enabled={K.FWD_APPL, K.BWD_APPL})
-    residue, forests = best_effort(cats, cfg)
+    residue, forests = best_effort([[c] for c in cats], cfg)
     assert residue == 2
     forest = next(f for f in forests if all(not isinstance(t, Leaf) for t in f))
     plan = canonical_plan(forest)

@@ -7,13 +7,19 @@ import sys
 import pytest
 
 from ccgplan import (
+    Candidate,
     CombinatorKind,
     Leaf,
     Node,
+    ParseGoal,
+    RuleConfig,
+    TaggedSentence,
+    Token,
     attach_words,
     canonical_plan,
     check_tree,
     leaves,
+    parse_all,
     parse_category,
     to_ascii,
     to_dot,
@@ -160,5 +166,11 @@ def test_trees_up_to_the_token_bound_work_under_the_default_recursion_limit():
         assert {tree, other} == {twin, _right_branching(MAX_TOKENS, last="NP/NP")}
         assert tree_from_json(to_json(tree)) == tree
         assert repr(tree) == repr(twin) and repr(tree).count("Node(") == MAX_TOKENS - 1
+        # the best-effort chart builds and unpacks the chain without recursing per token:
+        # one NP, as it stands and raised six ways
+        chain = [Token(f"w{pos}", (Candidate(leaf.cat),)) for pos, leaf in enumerate(leaves(tree), 1)]
+        residue, forests = parse_all(TaggedSentence(tuple(chain)), RuleConfig(), ParseGoal.best_effort())
+        assert (residue, len(forests)) == (1, 7)
+        assert (worded,) in forests
     finally:
         sys.setrecursionlimit(limit)
