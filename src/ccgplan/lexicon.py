@@ -22,9 +22,10 @@ class SupertagError(ValueError):
     """Raised for malformed supertagger output."""
 
 
-# Most tokens a sentence may have: the plan search recurses once per
-# reduction, so a sentence far longer than any real one would end in a
-# RecursionError instead of an answer.
+# Most tokens a sentence may have: the strict plan search recurses once
+# per reduction, and the tree functions and renderers once per tree level,
+# so a sentence far longer than any real one would end in a RecursionError
+# instead of an answer. The best-effort chart and its unpacker use loops.
 MAX_TOKENS = 256
 
 

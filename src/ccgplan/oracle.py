@@ -61,6 +61,17 @@ def _build_chart(ts: TaggedSentence, cfg: RuleConfig, guard: int) -> dict[tuple[
     return cells
 
 
+def _segmentations(j: int, cells, best: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """The segmentations of tokens 0..j-1 into ``best[j]`` non-empty cells."""
+    if j == 0:
+        return [()]
+    out = []
+    for i in range(j):
+        if cells[(i, j)] and best[i] + 1 == best[j]:
+            out.extend(prefix + ((i, j),) for prefix in _segmentations(i, cells, best))
+    return out
+
+
 def chart_parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal, guard: int = 10):
     """All goal-reaching derivations by brute force.
 
@@ -79,16 +90,7 @@ def chart_parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal, guard:
             if cells[(i, j)]:
                 best[j] = min(best[j], best[i] + 1)
 
-    def segmentations(j: int) -> list[tuple[tuple[int, int], ...]]:
-        if j == 0:
-            return [()]
-        out = []
-        for i in range(j):
-            if cells[(i, j)] and best[i] + 1 == best[j]:
-                out.extend(prefix + ((i, j),) for prefix in segmentations(i))
-        return out
-
     forests: set[tuple[DerivationTree, ...]] = set()
-    for spans in segmentations(n):
+    for spans in _segmentations(n, cells, best):
         forests.update(product(*(cells[span] for span in spans)))
     return best[n], forests

@@ -212,7 +212,7 @@ _result = attrgetter("result")
 # other's part, by identity, since categories are interned; and its output
 # from inputs whose slashes and key parts match, or None if a further
 # condition fails. ``binary_instances`` checks one pair against the rows;
-# ``joined_instances`` joins lists of variants on the key parts.
+# ``joined_instances`` joins two lists of variants on the key parts.
 _BINARY_SCHEMAS = {
     CombinatorKind.FWD_APPL: (True, None, _arg, _self, lambda l, r: l.result),
     CombinatorKind.BWD_APPL: (None, False, _self, _arg, lambda l, r: r.result),
@@ -257,22 +257,17 @@ def binary_instances(l: Category, r: Category, cfg: RuleConfig) -> list[RuleInst
 
 
 def joined_instances(
-    variants: Sequence[Sequence[Category]], cfg: RuleConfig
-) -> list[tuple[tuple[int, ...], CombinatorKind, Category]]:
-    """Every enabled instance over one variant of each input, for two
-    inputs, or three under coordination, as (variant index per input,
-    combinator, output category): what ``binary_instances`` or
-    ``ternary_instances`` returns for each combination of variants, in the
-    order of ``itertools.product`` over the variant lists and then of the
-    kinds' rows.
+    left: Sequence[Category], right: Sequence[Category], cfg: RuleConfig
+) -> list[tuple[tuple[int, int], CombinatorKind, Category]]:
+    """Every enabled binary instance over one variant of each input, as
+    (variant index per input, combinator, output category): what
+    ``binary_instances`` returns for each pair of variants, in the order of
+    ``itertools.product`` over the two lists and then of the kinds' rows.
 
     Each schema is one hash join: the right variants whose slash fits are
     indexed by the schema's key part, and each left variant whose slash
-    fits looks its own key part up, so combinations whose parts differ are
-    never tried."""
-    if len(variants) == 3:
-        return _coord_join(*variants, cfg)
-    left, right = variants
+    fits looks its own key part up, so pairs whose parts differ are never
+    tried."""
     left_slashes = [_slash(c) for c in left]
     right_slashes = [_slash(c) for c in right]
     found = []
@@ -292,23 +287,9 @@ def joined_instances(
                     out = output(c, right[j])
                     if out is not None:
                         found.append(((i, j), kind, out))
-    # a stable sort: within one combination of variants, the rows stay in order
+    # a stable sort: within one pair of variants, the rows stay in order
     found.sort(key=itemgetter(0))
     return found
-
-
-def _coord_join(left, middle, right, cfg: RuleConfig):
-    """``joined_instances`` for X conj X => X: the middle variant is conj,
-    and the left variant is the right one."""
-    conj = [k for k, c in enumerate(middle) if c is _CONJ] if CombinatorKind.COORD in cfg.enabled else []
-    if not conj:
-        return []
-    index: dict[Category, list[int]] = {}
-    for j, c in enumerate(right):
-        index.setdefault(c, []).append(j)
-    return [
-        ((i, k, j), CombinatorKind.COORD, c) for i, c in enumerate(left) for k in conj for j in index.get(c, ())
-    ]
 
 
 def ternary_instances(l: Category, m: Category, r: Category, cfg: RuleConfig) -> list[RuleInstance]:

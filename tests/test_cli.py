@@ -603,8 +603,9 @@ def test_main_leaves_the_collector_as_it_found_it(
         ["parse", "--supertags", "SUPERTAGS"],
         ["check", "--lexicon", "LEXICON"],
         ["compare", "--lexicon", "LEXICON", "--words", "The dog bit John"],
+        ["compare", "--lexicon", "LEXICON", "--words", "The dog bit", "--goal", "best-effort"],
     ],
-    ids=["ascii", "json", "dot", "best-effort", "supertags", "check", "compare"],
+    ids=["ascii", "json", "dot", "best-effort", "supertags", "check", "compare", "compare-best-effort"],
 )
 def test_a_command_leaves_no_cyclic_garbage(lexicon_file, tmp_path, capsys, collector, argv):
     # with no cycles, reference counting frees all a command allocates, so

@@ -114,8 +114,8 @@ PP_LEXICON = "\n".join(
 
 def _record_rule_work(monkeypatch):
     """Record each category pair the engine passes to ``binary_instances``
-    and each category tuple it joins with its raises through
-    ``joined_instances``, in ``calls``; the joined tuples also go to
+    and each category pair it joins with its raises through
+    ``joined_instances``, in ``calls``; the joined pairs also go to
     ``joined``."""
     calls, joined = [], []
     original, original_join = ccgplan.engine.binary_instances, ccgplan.engine.joined_instances
@@ -124,12 +124,11 @@ def _record_rule_work(monkeypatch):
         calls.append((l, r))
         return original(l, r, cfg)
 
-    def recording_join(variants, cfg):
+    def recording_join(left, right, cfg):
         # each input's first variant is its category as it stands
-        cats = tuple(v[0] for v in variants)
-        calls.append(cats)
-        joined.append(cats)
-        return original_join(variants, cfg)
+        calls.append((left[0], right[0]))
+        joined.append((left[0], right[0]))
+        return original_join(left, right, cfg)
 
     monkeypatch.setattr(ccgplan.engine, "binary_instances", recording)
     monkeypatch.setattr(ccgplan.engine, "joined_instances", recording_join)
@@ -197,7 +196,7 @@ _STATE_KINDS = [None] + [k for k in K if k.arity > 1]
 def test_reductions_match_the_product_over_each_nodes_ways(normalize, max_steps):
     rng = random.Random(10 * max_steps + normalize)
     cfg = RuleConfig(enabled=frozenset(K), normalize=normalize, max_steps=max_steps)
-    reducible = 0
+    reducible = raised_conjuncts = 0
     for _ in range(20):
         tables = ccgplan.engine._Tables(cfg, max_steps)
         for _ in range(40):
@@ -210,7 +209,11 @@ def test_reductions_match_the_product_over_each_nodes_ways(normalize, max_steps)
             found = tables.reductions(key)
             assert found == _reference_reductions(tables, key), [tables.nodes[nid] for nid in key]
             reducible += bool(found)
+            # only a conjunct can be raised in a triple that coordinates
+            raised_conjuncts += len(key) == 3 and any(r is not None for _, raises in found for r in raises)
     assert reducible > 100
+    # coordination over raised conjuncts is tried, where the bound leaves room for a raise
+    assert raised_conjuncts or max_steps < 2, raised_conjuncts
 
 
 @pytest.mark.parametrize(

@@ -255,23 +255,15 @@ _VARIANT_POOL = [
 _variants = st.lists(st.sampled_from(_VARIANT_POOL), min_size=1, max_size=6)
 
 
-@given(st.lists(_variants, min_size=2, max_size=3), st.sets(st.sampled_from(list(CombinatorKind)), min_size=1))
-def test_joined_instances_equal_the_loop_over_every_combination(variants, enabled):
+@given(_variants, _variants, st.sets(st.sampled_from(list(CombinatorKind)), min_size=1))
+def test_joined_instances_equal_the_loop_over_every_combination(left, right, enabled):
     cfg = RuleConfig(enabled=enabled)
-    rule = binary_instances if len(variants) == 2 else ternary_instances
-    expected = [
-        (picks, kind, out)
-        for picks in product(*[range(len(v)) for v in variants])
-        for kind, out in rule(*[v[i] for v, i in zip(variants, picks)], cfg)
-    ]
-    assert joined_instances(variants, cfg) == expected
-    if len(variants) == 2:
-        # the rows the join and ``binary_instances`` share, against README's templates
-        assert expected == [
-            (picks, kind, out)
-            for picks in product(*[range(len(v)) for v in variants])
-            for kind, out in _readme_instances(*[v[i] for v, i in zip(variants, picks)], enabled)
-        ]
+    pairs = list(product(range(len(left)), range(len(right))))
+    expected = [((i, j), kind, out) for i, j in pairs for kind, out in binary_instances(left[i], right[j], cfg)]
+    assert joined_instances(left, right, cfg) == expected
+    # the rows the join and ``binary_instances`` share, against README's templates
+    readme = [((i, j), kind, out) for i, j in pairs for kind, out in _readme_instances(left[i], right[j], enabled)]
+    assert expected == readme
 
 
 # ``valid_instance`` as it was written before it asked the instance
