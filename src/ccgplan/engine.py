@@ -27,21 +27,15 @@ action orders are explored once. What an adjacent pair of nodes (or
 triple, under coordination) can reduce to depends on those nodes, the
 rule configuration and the height bound alone, so it is computed once
 and reused in every state where they are adjacent. Below that sits the
-rule work of a category pair (or triple): every rule over it with each
-input as it stands or raised, computed once, so a node pair only filters
-that list by height and by the normal-form bans. A raised pair's list is
-found by lookup, not by trying each pair of variants:
-``rules.joined_instances`` indexes the right input's variants, as it
-stands and each raise, by the part each schema needs to match, and each
-left variant looks its own part up. A coordination triple takes the
-plain rule over each combination of its inputs' raises, and a tuple none
-of whose categories can be raised takes its instances as they stand.
-Categories are interned, so the tables and the join hash and compare
-them by identity. A sentence's candidate combinations all have
-its length, so ``parse_all`` builds these tables once and its strict
-searches, one per combination, share them. The trees found are exactly those
-denoted by admissible canonical plans; ``canonical_plan`` rebuilds the
-concurrent plan for any of them.
+rule work of a category pair (or triple): the rule over each combination
+of its inputs, each as it stands or raised, computed once, so a node pair
+only filters that list by height and by the normal-form bans. Categories
+are interned, so the tables hash and compare them by identity. A
+sentence's candidate combinations all have its length, so ``parse_all``
+builds these tables once and its strict searches, one per combination,
+share them. The trees found are exactly those denoted by admissible
+canonical plans; ``canonical_plan`` rebuilds the concurrent plan for any
+of them.
 
 On supertagged input most combinations have no strict parse, and most
 of those fail a test that needs no search. Count each atom +1 in a
@@ -79,7 +73,6 @@ from .rules import (
     atom_count,
     binary_instances,
     blocked,
-    joined_instances,
     ternary_instances,
     unary_instances,
 )
@@ -123,10 +116,9 @@ class _Tables:
     Nodes (category, producing combinator, height) are a dict from node to
     id plus the list of nodes by id. The rule work has three levels, each
     computed once: a category's raises (``unary_instances``); a category
-    tuple's raised rules, every instance over its inputs as they stand or
-    raised (``joined_instances`` for a raised pair, the plain rule over
-    each combination otherwise); and a node tuple's reductions, the raised
-    rules that fit the height bound and the normal-form bans. The rule functions
+    tuple's raised rules, the rule over each combination of its inputs as
+    they stand or raised; and a node tuple's reductions, the raised rules
+    that fit the height bound and the normal-form bans. The rule functions
     are looked up in this module's globals at each call. No entry depends
     on a search's start state or target, so every search over sentences of
     one length may share a table set: a strict ``parse_all`` builds one per
@@ -163,28 +155,17 @@ class _Tables:
         """Every rule over a category pair (or triple, for coordination)
         with its inputs as they stand or raised, as (raise or None per
         input, combinator, output category), in the order of the raise
-        combinations and then of the rule instances. Only a raised pair
-        takes the hash join; coordination tries each combination."""
+        combinations and then of the rule instances."""
         found = self.raised.get(cats)
         if found is None:
-            raises = [self.raises(cat) for cat in cats]
-            if not any(raises):
-                plain = (None,) * len(cats)
-                insts = binary_instances(*cats, self.cfg) if len(cats) == 2 else ternary_instances(*cats, self.cfg)
-                found = [(plain, kind, out) for kind, out in insts]
-            else:
-                ways = [[None, *rs] for rs in raises]
-                variants = [[cat, *[r.output for r in rs]] for cat, rs in zip(cats, raises)]
-                if len(cats) == 2:
-                    joined = joined_instances(*variants, self.cfg)
-                    found = [((ways[0][i], ways[1][j]), kind, out) for (i, j), kind, out in joined]
-                else:
-                    found = [
-                        (picks, kind, out)
-                        for picks, inputs in zip(product(*ways), product(*variants))
-                        for kind, out in ternary_instances(*inputs, self.cfg)
-                    ]
-            self.raised[cats] = found
+            rule = binary_instances if len(cats) == 2 else ternary_instances
+            ways = [[None, *self.raises(cat)] for cat in cats]
+            variants = [[cat if r is None else r.output for r in rs] for cat, rs in zip(cats, ways)]
+            found = self.raised[cats] = [
+                (picks, kind, out)
+                for picks, inputs in zip(product(*ways), product(*variants))
+                for kind, out in rule(*inputs, self.cfg)
+            ]
         return found
 
     def reductions(self, key: tuple[int, ...]) -> list[tuple[int, tuple[int | None, ...]]]:

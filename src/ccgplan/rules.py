@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, itemgetter
-from typing import Literal, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Literal, NamedTuple
 
 from .categories import Atom, Category, CategoryError, Functor, bwd, fwd, parse_category, print_category
 
@@ -211,8 +211,7 @@ _result = attrgetter("result")
 # category); the part of each input that must be the same category as the
 # other's part, by identity, since categories are interned; and its output
 # from inputs whose slashes and key parts match, or None if a further
-# condition fails. ``binary_instances`` checks one pair against the rows;
-# ``joined_instances`` joins two lists of variants on the key parts.
+# condition fails. ``binary_instances`` checks one pair against the rows.
 _BINARY_SCHEMAS = {
     CombinatorKind.FWD_APPL: (True, None, _arg, _self, lambda l, r: l.result),
     CombinatorKind.BWD_APPL: (None, False, _self, _arg, lambda l, r: r.result),
@@ -254,42 +253,6 @@ def binary_instances(l: Category, r: Category, cfg: RuleConfig) -> list[RuleInst
             if c is not None:
                 out.append(RuleInstance(kind, c))
     return out
-
-
-def joined_instances(
-    left: Sequence[Category], right: Sequence[Category], cfg: RuleConfig
-) -> list[tuple[tuple[int, int], CombinatorKind, Category]]:
-    """Every enabled binary instance over one variant of each input, as
-    (variant index per input, combinator, output category): what
-    ``binary_instances`` returns for each pair of variants, in the order of
-    ``itertools.product`` over the two lists and then of the kinds' rows.
-
-    Each schema is one hash join: the right variants whose slash fits are
-    indexed by the schema's key part, and each left variant whose slash
-    fits looks its own key part up, so pairs whose parts differ are never
-    tried."""
-    left_slashes = [_slash(c) for c in left]
-    right_slashes = [_slash(c) for c in right]
-    found = []
-    for kind in CombinatorKind:
-        if kind.arity != 2 or kind not in cfg.enabled:
-            continue
-        ls, rs, lkey, rkey, output = _BINARY_SCHEMAS[kind]
-        index: dict[Category, list[int]] = {}
-        for j, c in enumerate(right):
-            if rs is None or right_slashes[j] == rs:
-                index.setdefault(rkey(c), []).append(j)
-        if not index:
-            continue
-        for i, c in enumerate(left):
-            if ls is None or left_slashes[i] == ls:
-                for j in index.get(lkey(c), ()):
-                    out = output(c, right[j])
-                    if out is not None:
-                        found.append(((i, j), kind, out))
-    # a stable sort: within one pair of variants, the rows stay in order
-    found.sort(key=itemgetter(0))
-    return found
 
 
 def ternary_instances(l: Category, m: Category, r: Category, cfg: RuleConfig) -> list[RuleInstance]:

@@ -113,31 +113,42 @@ PP_LEXICON = "\n".join(
 
 
 def _record_rule_work(monkeypatch):
-    """Record each category pair the engine passes to ``binary_instances``
-    and each category pair it joins with its raises through
-    ``joined_instances``, in ``calls``; the joined pairs also go to
-    ``joined``."""
-    calls, joined = [], []
-    original, original_join = ccgplan.engine.binary_instances, ccgplan.engine.joined_instances
+    """Record each category tuple ``_Tables.raised_rules`` computes, with
+    its tables, in ``computed``, and each category pair the engine passes
+    to ``binary_instances`` in ``calls``."""
+    computed, calls = [], []
+    original, original_raised = ccgplan.engine.binary_instances, ccgplan.engine._Tables.raised_rules
 
     def recording(l, r, cfg):
         calls.append((l, r))
         return original(l, r, cfg)
 
-    def recording_join(left, right, cfg):
-        # each input's first variant is its category as it stands
-        calls.append((left[0], right[0]))
-        joined.append((left[0], right[0]))
-        return original_join(left, right, cfg)
+    def recording_raised(tables, cats):
+        if cats not in tables.raised:
+            computed.append((tables, cats))
+        return original_raised(tables, cats)
 
     monkeypatch.setattr(ccgplan.engine, "binary_instances", recording)
-    monkeypatch.setattr(ccgplan.engine, "joined_instances", recording_join)
-    return calls, joined
+    monkeypatch.setattr(ccgplan.engine._Tables, "raised_rules", recording_raised)
+    return computed, calls
+
+
+def _check_rule_work(computed, calls):
+    """Each category tuple is computed once, and a pair's rule work is one
+    ``binary_instances`` call per combination of its inputs' ways in: as
+    it stands or raised. Two pairs may share a pair of variants, so the
+    calls alone may repeat."""
+    repeated = [cats for cats, times in Counter([cats for _, cats in computed]).items() if times > 1]
+    assert computed and not repeated, f"{len(repeated)} category tuples computed more than once"
+    pairs = [(tables, cats) for tables, cats in computed if len(cats) == 2]
+    ways = [math.prod([1 + len(tables.raises(cat)) for cat in cats]) for tables, cats in pairs]
+    assert len(calls) == sum(ways)
+    assert len(calls) > len(pairs), "no category pair was tried with its raises"
 
 
 @pytest.mark.parametrize("length, normalize, count", [(14, True, 14), (8, False, 524)])
 def test_each_category_pair_is_combined_once_per_search(monkeypatch, length, normalize, count):
-    calls, joined = _record_rule_work(monkeypatch)
+    computed, calls = _record_rule_work(monkeypatch)
     raised = []
     original_unary = ccgplan.engine.unary_instances
 
@@ -149,13 +160,11 @@ def test_each_category_pair_is_combined_once_per_search(monkeypatch, length, nor
     ts = tag_with_lexicon(PP_WORDS[:length], load_lexicon(PP_LEXICON))
     trees = set()
     for combo in product(*(tok.candidates for tok in ts.tokens)):
+        computed.clear()
         calls.clear()
-        joined.clear()
         raised.clear()
         trees |= enumerate_parses([c.cat for c in combo], RuleConfig(normalize=normalize), ParseGoal.strict())
-        repeated = [pair for pair, times in Counter(calls).items() if times > 1]
-        assert calls and not repeated, f"{len(repeated)} category pairs combined more than once"
-        assert joined, "no category pair was matched with its raises"
+        _check_rule_work(computed, calls)
         repeated = [c for c, times in Counter(raised).items() if times > 1]
         assert raised and not repeated, f"{len(repeated)} categories raised more than once"
     assert len(trees) == count
@@ -225,14 +234,11 @@ def test_reductions_match_the_product_over_each_nodes_ways(normalize, max_steps)
     ],
 )
 def test_each_category_pair_is_combined_once_per_parse_all(monkeypatch, length, cfg, goal, combos):
-    calls, joined = _record_rule_work(monkeypatch)
+    computed, calls = _record_rule_work(monkeypatch)
     ts = tag_with_lexicon(PP_WORDS[:length], load_lexicon(PP_LEXICON))
     assert math.prod(len(tok.candidates) for tok in ts.tokens) == combos
     found = parse_all(ts, cfg, goal)
-    repeated = [pair for pair, times in Counter(calls).items() if times > 1]
-    assert calls
-    assert not repeated, f"{len(repeated)} category pairs combined more than once"
-    assert joined, "no category pair was matched with its raises"
+    _check_rule_work(computed, calls)
     assert found if goal.target is not None else found[1]
 
 

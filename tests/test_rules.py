@@ -34,7 +34,6 @@ from ccgplan.rules import (
     RuleInstance,
     atom_count,
     blocked,
-    joined_instances,
     valid_instance,
 )
 from derivations import SCHEMAS, substitute, unify
@@ -242,28 +241,6 @@ def test_crossed_substitution_and_coordination_change_the_atom_count():
     # & merges two Xs and a conj into one X
     assert ternary_instances(C("NP"), C("conj"), C("NP"), cfg) == [RuleInstance(CombinatorKind.COORD, C("NP"))]
     assert _summed_count([C("NP"), C("conj"), C("NP")]) == {C("NP"): 2, C("conj"): 1} != atom_count(C("NP"))
-
-
-# variants for the join: plain categories of both slashes, raises of ``NP``
-# and ``S`` to ``S``, and ``conj``; ``S/NP`` with ``(S\NP)/NP`` or with
-# ``(S/NP)/NP`` fits ``<Sx``'s key parts but not its further condition
-_VARIANT_POOL = [
-    C(c)
-    for c in ["S", "NP", "conj", r"S\NP", "S/NP", r"(S\NP)/NP", r"S\S", r"(S\S)/NP", "NP/NP", "(S/NP)/NP"]
-    + [r"S/(S\NP)", r"S\(S/NP)", r"S/(S\S)", r"S\(S/S)"]
-]
-_variants = st.lists(st.sampled_from(_VARIANT_POOL), min_size=1, max_size=6)
-
-
-@given(_variants, _variants, st.sets(st.sampled_from(list(CombinatorKind)), min_size=1))
-def test_joined_instances_equal_the_loop_over_every_combination(left, right, enabled):
-    cfg = RuleConfig(enabled=enabled)
-    pairs = list(product(range(len(left)), range(len(right))))
-    expected = [((i, j), kind, out) for i, j in pairs for kind, out in binary_instances(left[i], right[j], cfg)]
-    assert joined_instances(left, right, cfg) == expected
-    # the rows the join and ``binary_instances`` share, against README's templates
-    readme = [((i, j), kind, out) for i, j in pairs for kind, out in _readme_instances(left[i], right[j], enabled)]
-    assert expected == readme
 
 
 # ``valid_instance`` as it was written before it asked the instance
