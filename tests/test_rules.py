@@ -27,7 +27,7 @@ from ccgplan import (
     ternary_instances,
     unary_instances,
 )
-from ccgplan import rules
+from ccgplan import engine, rules
 from ccgplan.rules import (
     COUNT_KEEPING_KINDS,
     RAISE_KINDS,
@@ -241,6 +241,30 @@ def test_crossed_substitution_and_coordination_change_the_atom_count():
     # & merges two Xs and a conj into one X
     assert ternary_instances(C("NP"), C("conj"), C("NP"), cfg) == [RuleInstance(CombinatorKind.COORD, C("NP"))]
     assert _summed_count([C("NP"), C("conj"), C("NP")]) == {C("NP"): 2, C("conj"): 1} != atom_count(C("NP"))
+
+
+# categories for the raised rules: plain categories of both slashes, and
+# ``conj``; ``NP``'s raises to the default targets meet the application,
+# composition and crossed composition schemas with several of them
+_RAISED_POOL = [
+    C(c) for c in ["S", "NP", "conj", r"S\NP", "S/NP", r"(S\NP)/NP", r"S\S", r"(S\S)/NP", "NP/NP", "(S/NP)/NP"]
+]
+
+
+@given(st.sets(st.sampled_from(list(CombinatorKind)), min_size=1))
+def test_raised_rules_equal_the_readme_rows_over_every_raise_combination(enabled):
+    cfg = RuleConfig(enabled=enabled)
+    tables = engine._Tables(cfg, 0)
+    for left, right in product(_RAISED_POOL, repeat=2):
+        ways = [[None, *unary_instances(cat, cfg)] for cat in (left, right)]
+        expected = [
+            ((rl, rr), kind, out)
+            for rl, rr in product(*ways)
+            for kind, out in _readme_instances(
+                left if rl is None else rl.output, right if rr is None else rr.output, enabled
+            )
+        ]
+        assert tables.raised_rules((left, right)) == expected, (left, right)
 
 
 # ``valid_instance`` as it was written before it asked the instance
