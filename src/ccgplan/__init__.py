@@ -1,11 +1,12 @@
 """CCG parsing as canonical plan search.
 
-A sentence's categories, one candidate combination at a time, are reduced
-by combinator instances on adjacent constituents; the search finds every
-derivation whose canonical concurrent plan reaches the goal within the step
-bound, with normal-form bans removing spurious duplicates, and
-``canonical_plan`` rebuilds that plan for any tree. A chart parser
-cross-checks the search, and derivations render as text, JSON, or DOT.
+A sentence's categories are reduced by combinator instances on adjacent
+constituents. The strict search, one candidate combination at a time,
+finds every derivation whose canonical concurrent plan reaches the goal
+within the step bound, with normal-form bans removing spurious duplicates,
+and ``canonical_plan`` rebuilds that plan for any tree; best-effort builds
+one chart over every candidate. A chart parser cross-checks the search, and
+derivations render as text, JSON, or DOT.
 """
 
 from types import ModuleType as _ModuleType

@@ -103,7 +103,8 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
     for m in _TOKEN.finditer(text):
         tok = m.group()
-        if not (tok.isalnum() or tok in "/\\()"):
+        # str.isalnum is Unicode-aware; an atom name is ASCII letters and digits
+        if not ((tok.isascii() and tok.isalnum()) or tok in "/\\()"):
             raise CategoryError(f"unexpected character {tok!r}", m.start())
         tokens.append((tok, m.start()))
     return tokens

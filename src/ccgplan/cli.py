@@ -148,22 +148,28 @@ def _finish(args, started: float, cutoff: float | None, mode: str, residue: int,
     return 0 if mode == "strict" and docs else 2
 
 
+def _answer(rungs, cfg: RuleConfig, goal: str, engine):
+    """``engine``'s answer on the cutoff ladder, as (cutoff, mode, residue,
+    entries): the first rung with a strict parse; under ``goal`` strict, the
+    last rung's miss; else best-effort on the widest rung."""
+    if goal != "best-effort":
+        # widen the candidate sets rung by rung until a strict parse appears
+        for cutoff, ts in rungs:
+            trees = engine(ts, cfg, ParseGoal.strict())
+            if trees:
+                break
+        if trees or goal == "strict":
+            return cutoff, "strict", 1 if trees else len(ts.tokens), trees
+    cutoff, ts = rungs[-1]
+    return cutoff, "best-effort", *engine(ts, cfg, ParseGoal.best_effort())
+
+
 def cmd_parse(args) -> int:
     started = time.perf_counter()
     _check_input(args)
     cfg = _build_config(args)
     rungs = _rungs(args)
-    if args.goal != "best-effort":
-        # widen the candidate sets rung by rung until a strict parse appears
-        for cutoff, ts in rungs:
-            trees = parse_all(ts, cfg, ParseGoal.strict())
-            if trees:
-                break
-        if trees or args.goal == "strict":
-            return _finish(args, started, cutoff, "strict", 1 if trees else len(ts.tokens), trees)
-    cutoff, ts = rungs[-1]
-    residue, forests = parse_all(ts, cfg, ParseGoal.best_effort())
-    return _finish(args, started, cutoff, "best-effort", residue, forests)
+    return _finish(args, started, *_answer(rungs, cfg, args.goal, parse_all))
 
 
 def cmd_check(args) -> int:
@@ -199,36 +205,24 @@ def cmd_compare(args) -> int:
     _check_input(args)
     cfg = _build_config(args)
     rungs = _rungs(args)
-    goal = ParseGoal.strict() if args.goal == "strict" else ParseGoal.best_effort()
-
-    def both(ts: TaggedSentence):
-        # wide enough for any tree the oracle can build
-        wide = cfg if cfg.max_steps is not None else dataclasses.replace(cfg, max_steps=2 * len(ts.tokens) + 1)
-        # the oracle first: its length guard fails at once, the plan search may take minutes
-        return chart_parse_all(ts, wide, goal), parse_all(ts, wide, goal)
-
-    # on the rung ``parse`` answers on
-    if args.goal == "strict":
-        for _, ts in rungs:
-            chart_side, plan_side = both(ts)
-            if chart_side or plan_side:
-                break
-    else:
-        (chart_residue, chart_side), (plan_residue, plan_side) = both(rungs[-1][1])
-        if plan_residue != chart_residue:
-            print(f"residue differs: plan={plan_residue} oracle={chart_residue}")
+    if cfg.max_steps is None:
+        # wide enough for any tree the oracle builds; every rung has the same words
+        cfg = dataclasses.replace(cfg, max_steps=2 * len(rungs[0][1].tokens) + 1)
+    # the oracle first: its length guard fails at once, the plan search may take minutes
+    chart_cutoff, _, chart_residue, chart_side = _answer(rungs, cfg, args.goal, chart_parse_all)
+    plan_cutoff, _, plan_residue, plan_side = _answer(rungs, cfg, args.goal, parse_all)
+    if plan_side != chart_side:
+        print(f"engines disagree: plan={len(plan_side)} oracle={len(chart_side)}")
+        for side, only in (("plan engine", plan_side - chart_side), ("oracle", chart_side - plan_side)):
+            for doc in _render_documents(only, "ascii"):
+                print(f"only {side}:\n{doc}")
+        return 1
+    for what, plan, chart in (("cutoff", plan_cutoff, chart_cutoff), ("residue", plan_residue, chart_residue)):
+        if plan != chart:
+            print(f"{what} differs: plan={plan} oracle={chart}")
             return 1
-    if plan_side == chart_side:
-        print(f"engines agree: {len(plan_side)} parses")
-        return 0
-    print(f"engines disagree: plan={len(plan_side)} oracle={len(chart_side)}")
-    for entry in sorted(plan_side - chart_side, key=_sort_key):
-        print("only plan engine:")
-        print(to_ascii(entry))
-    for entry in sorted(chart_side - plan_side, key=_sort_key):
-        print("only oracle:")
-        print(to_ascii(entry))
-    return 1
+    print(f"engines agree: {len(plan_side)} parses")
+    return 0
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:

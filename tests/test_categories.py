@@ -77,12 +77,18 @@ def test_print_intransitive_verb():
         ("/NP", 0),
         ("S\\NP)", 4),
         ("S[dcl]", 1),
+        ("\u00e9", 0),
+        ("S/\u00e9", 2),
+        ("NP\u00e9", 2),
     ],
 )
 def test_syntax_errors_carry_offsets(text, offset):
     with pytest.raises(CategoryError) as err:
         parse_category(text)
     assert err.value.offset == offset
+    if not text[offset:].isascii():
+        # str.isalnum takes a non-ASCII letter, but no atom name has one
+        assert str(err.value) == f"unexpected character {text[offset]!r} (offset {offset})"
 
 
 _atoms = st.sampled_from(["S", "NP", "N", "PP", "conj", "X2"])

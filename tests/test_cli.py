@@ -217,6 +217,9 @@ def test_best_effort_on_a_long_line_of_two_candidates_per_token(tmp_path, capsys
     assert "mode=best-effort residue=1 parses=1 " in capsys.readouterr().out
 
 
+# the verb's S\NP survives only from the second default cutoff on, and the
+# third keeps the same candidates
+SECOND_RUNG_SUPERTAGS = "John|NNP|NP:0.9 sleeps|VBZ|(S\\NP)/NP:0.9|S\\NP:0.05\n"
 # the verb's S\NP survives only the third default cutoff, and a walk of
 # 0.5,0.1 ends in best-effort
 THIRD_RUNG_SUPERTAGS = "John|NNP|NP:0.9 sleeps|VBZ|(S\\NP)/NP:0.9|S\\NP:0.02\n"
@@ -352,6 +355,25 @@ def test_compare_parses_on_the_rung_parse_answers_on(tmp_path, capsys, goal):
     assert capsys.readouterr().out == "engines agree: 1 parses\n"
 
 
+@pytest.mark.parametrize("goal", ["strict", "best-effort"])
+def test_parse_and_compare_walk_the_same_ladder(tmp_path, monkeypatch, capsys, goal):
+    tags = tmp_path / "tagged.txt"
+    tags.write_text(LADDER_SUPERTAGS, encoding="utf-8")
+    seen = []
+
+    def recording(ts, cfg, parse_goal):
+        seen.append((ts, parse_goal.mode))
+        return parse_all(ts, cfg, parse_goal)
+
+    monkeypatch.setattr("ccgplan.cli.parse_all", recording)
+    for command in ("parse", "compare"):
+        main([command, "--supertags", str(tags), "--goal", goal])
+    capsys.readouterr()
+    # the strict walk takes every rung; best-effort only the widest
+    rungs = 3 if goal == "strict" else 1
+    assert len(seen) == 2 * rungs and seen[:rungs] == seen[rungs:]
+
+
 def test_compare_lists_the_trees_only_one_engine_finds(lexicon_file, monkeypatch, capsys):
     def plan_engine(ts, cfg, goal):
         # the spurious trees normalization would drop, without the normal-form tree
@@ -372,6 +394,24 @@ def test_compare_reports_a_best_effort_residue_difference(lexicon_file, monkeypa
     monkeypatch.setattr("ccgplan.cli.parse_all", plan_engine)
     assert main(["compare", "--lexicon", lexicon_file, "--words", "The dog bit", "--goal", "best-effort"]) == 1
     assert capsys.readouterr().out == "residue differs: plan=2 oracle=1\n"
+
+
+def test_compare_reports_a_cutoff_difference(tmp_path, monkeypatch, capsys):
+    tags = tmp_path / "tagged.txt"
+    tags.write_text(SECOND_RUNG_SUPERTAGS, encoding="utf-8")
+    hidden = []
+
+    def plan_engine(ts, cfg, goal):
+        # misses the parse on the rung it first appears on, and finds it on the next
+        trees = parse_all(ts, cfg, goal)
+        if trees and not hidden:
+            hidden.append(trees)
+            return set()
+        return trees
+
+    monkeypatch.setattr("ccgplan.cli.parse_all", plan_engine)
+    assert main(["compare", "--supertags", str(tags)]) == 1
+    assert capsys.readouterr().out == "cutoff differs: plan=0.01 oracle=0.03\n"
 
 
 @pytest.mark.parametrize(
