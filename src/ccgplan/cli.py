@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .engine import ParseGoal, parse_all
 from .lexicon import (
-    DEFAULT_CUTOFFS,
     LexiconError,
     TaggedSentence,
     ingest_supertags,
@@ -29,6 +28,9 @@ from .rules import RuleConfig, RuleConfigError, load_rule_config
 # each output format and the extension of its documents under ``--out``
 _EXT = {"ascii": "txt", "json": "json", "dot": "dot"}
 _DOCUMENT_NAME = re.compile(r"parse_\d{4,}\.(" + "|".join(_EXT.values()) + ")")
+
+# the default supertag cutoff ladder, tried rung by rung until a strict parse appears
+DEFAULT_CUTOFFS = (0.075, 0.03, 0.01)
 
 
 class CliError(Exception):
@@ -83,9 +85,9 @@ def _check_input(args) -> None:
 
 
 def _rungs(args) -> list[tuple[float | None, TaggedSentence]]:
-    """The cutoff ladder as (cutoff, sentence) rungs, widest last, from one
-    read of the input; lexicon input is the one rung of cutoff None, though
-    its ``--cutoffs`` must still be a valid list."""
+    """The cutoff ladder as (cutoff, sentence) rungs, widest last, each pruned
+    from one read of every candidate; lexicon input is the one rung of cutoff
+    None, though its ``--cutoffs`` must still be a valid list."""
     cutoffs = _parse_cutoffs(args.cutoffs)
     if args.lexicon:
         lex = load_lexicon(_read_text(args.lexicon, "lexicon"))
@@ -93,8 +95,8 @@ def _rungs(args) -> list[tuple[float | None, TaggedSentence]]:
         if not words:
             raise CliError("no tokens in --words")
         return [(None, tag_with_lexicon(words, lex))]
-    widest = ingest_supertags(_read_text(args.supertags, "supertag file"), cutoffs[-1])
-    return [(cutoff, prune(widest, cutoff)) for cutoff in cutoffs]
+    every = ingest_supertags(_read_text(args.supertags, "supertag file"))
+    return [(cutoff, prune(every, cutoff)) for cutoff in cutoffs]
 
 
 def _render_documents(parses, fmt: str) -> list[str]:

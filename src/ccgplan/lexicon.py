@@ -2,7 +2,7 @@
 
 Lexicon files are UTF-8 text with one ``word<TAB>category`` entry per
 line; ``#`` lines are comments and blank lines are ignored. Supertag input
-is one sentence per line, tokens separated by whitespace, each token
+is one sentence on one line, tokens separated by whitespace, each token
 ``word|POS|cat:prob(|cat:prob)*``.
 """
 
@@ -108,19 +108,10 @@ def tag_with_lexicon(words: Sequence[str], lex: Mapping[str, Sequence[Category]]
     return TaggedSentence(tuple(tokens))
 
 
-# The CLI's default supertag cutoff ladder, tried rung by rung until a
-# strict parse appears; its first rung is ``ingest_supertags``'s default.
-DEFAULT_CUTOFFS = (0.075, 0.03, 0.01)
-
-
-def ingest_supertags(source: str, cutoff: float = DEFAULT_CUTOFFS[0]) -> TaggedSentence:
-    """Read one supertagged sentence and ``prune`` it at ``cutoff``.
-
-    Per token, candidates stand in descending-weight order, ties in line
-    order, and a category listed more than once keeps only its highest weight.
-    """
-    if not 0.0 < cutoff <= 1.0:
-        raise ValueError(f"cutoff must be in (0, 1], got {cutoff}")
+def ingest_supertags(source: str) -> TaggedSentence:
+    """Read one supertagged sentence with every candidate: per token in
+    descending-weight order, ties in line order, and a category listed more
+    than once keeps only its highest weight."""
     lines = [l for l in source.splitlines() if l.strip()]
     if not lines:
         raise SupertagError("no sentence found in supertag input")
@@ -151,14 +142,14 @@ def ingest_supertags(source: str, cutoff: float = DEFAULT_CUTOFFS[0]) -> TaggedS
         for c in sorted(candidates, key=lambda c: -c.weight):
             kept.setdefault(c.cat, c)
         tokens.append(Token(word, tuple(kept.values()), pos_tag))
-    return prune(TaggedSentence(tuple(tokens)), cutoff)
+    return TaggedSentence(tuple(tokens))
 
 
 def prune(ts: TaggedSentence, cutoff: float) -> TaggedSentence:
     """Per token, the candidates whose weight is at least ``cutoff`` times
     its first's, in the order they stand. On a sentence from
     ``ingest_supertags`` the first is the highest and survives any cutoff,
-    so pruning its widest rung at ``cutoff`` reads the line at ``cutoff``."""
+    and a larger cutoff keeps a prefix of a smaller one's candidates."""
     return TaggedSentence(tuple(
         Token(t.word, tuple(c for c in t.candidates if c.weight >= cutoff * t.candidates[0].weight), t.pos_tag)
         for t in ts.tokens

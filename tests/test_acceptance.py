@@ -29,7 +29,7 @@ from ccgplan import (
 )
 from ccgplan.cli import main
 from conftest import DEMO_LEXICON
-from ccgplan.lexicon import load_lexicon
+from ccgplan.lexicon import load_lexicon, prune
 from planning import AnnotatedCategory, Asr, banned, step
 
 C = parse_category
@@ -290,9 +290,9 @@ LADDER_SUPERTAGS = (
 def test_criterion_8_supertag_ladder(tmp_path, capsys):
     def check():
         # top cutoff hides the transitive-verb reading; the ladder recovers it
-        narrow = ingest_supertags(LADDER_SUPERTAGS, cutoff=0.075)
+        narrow = prune(ingest_supertags(LADDER_SUPERTAGS), 0.075)
         assert parse_all(narrow, RuleConfig(), ParseGoal.strict()) == set()
-        wide = ingest_supertags(LADDER_SUPERTAGS, cutoff=0.01)
+        wide = prune(ingest_supertags(LADDER_SUPERTAGS), 0.01)
         assert parse_all(wide, RuleConfig(), ParseGoal.strict()) != set()
 
         tags = tmp_path / "tagged.txt"

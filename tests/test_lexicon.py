@@ -12,7 +12,7 @@ from ccgplan import (
     parse_category,
     tag_with_lexicon,
 )
-from ccgplan.lexicon import DEFAULT_CUTOFFS, prune
+from ccgplan.lexicon import prune
 
 
 def test_load_demo_lexicon(demo_lexicon_text):
@@ -70,38 +70,36 @@ def test_tag_out_of_vocabulary(demo_lexicon):
 
 
 def test_supertag_cutoff_drops_weak_candidate():
-    ts = ingest_supertags("John|NNP|NP:0.9|N:0.05", cutoff=0.1)
+    ts = prune(ingest_supertags("John|NNP|NP:0.9|N:0.05"), 0.1)
     assert [(c.cat, c.weight) for c in ts.tokens[0].candidates] == [(parse_category("NP"), 0.9)]
 
 
 def test_supertag_cutoff_keeps_both():
-    ts = ingest_supertags("John|NNP|NP:0.9|N:0.05", cutoff=0.01)
+    ts = prune(ingest_supertags("John|NNP|NP:0.9|N:0.05"), 0.01)
     assert [c.weight for c in ts.tokens[0].candidates] == [0.9, 0.05]
 
 
 def test_supertag_cutoff_one_keeps_only_maximum():
-    ts = ingest_supertags("John|NNP|NP:0.9|N:0.05|PP:0.9", cutoff=1.0)
+    ts = prune(ingest_supertags("John|NNP|NP:0.9|N:0.05|PP:0.9"), 1.0)
     assert [c.weight for c in ts.tokens[0].candidates] == [0.9, 0.9]
 
 
 def test_supertag_candidates_sorted_descending():
-    ts = ingest_supertags("w|X|N:0.1|NP:0.8|PP:0.4", cutoff=0.01)
+    ts = prune(ingest_supertags("w|X|N:0.1|NP:0.8|PP:0.4"), 0.01)
     assert [c.weight for c in ts.tokens[0].candidates] == [0.8, 0.4, 0.1]
 
 
 def test_supertag_repeated_category_keeps_its_highest_weight():
-    ts = ingest_supertags("The|DT|NP/N:0.5|N:0.7|NP/N:0.9", cutoff=0.01)
+    ts = prune(ingest_supertags("The|DT|NP/N:0.5|N:0.7|NP/N:0.9"), 0.01)
     assert [(c.cat, c.weight) for c in ts.tokens[0].candidates] == [
         (parse_category("NP/N"), 0.9),
         (parse_category("N"), 0.7),
     ]
 
 
-def test_supertag_default_cutoff_is_the_ladders_first_rung():
-    line = "John|NNP|NP:0.9|N:0.05"
-    assert 0.05 < DEFAULT_CUTOFFS[0] * 0.9  # the default prunes N
-    assert ingest_supertags(line) == ingest_supertags(line, DEFAULT_CUTOFFS[0])
-    assert [c.cat for c in ingest_supertags(line).tokens[0].candidates] == [parse_category("NP")]
+def test_supertag_reader_keeps_every_candidate():
+    ts = ingest_supertags("John|NNP|NP:0.9|N:0.001")
+    assert [c.weight for c in ts.tokens[0].candidates] == [0.9, 0.001]
 
 
 def test_supertag_pos_carried_through():
@@ -151,11 +149,6 @@ def test_supertag_input_errors_name_their_cause(source, message):
         ingest_supertags(source)
 
 
-def test_supertag_cutoff_validated():
-    with pytest.raises(ValueError):
-        ingest_supertags("a|X|N:1.0", cutoff=0.0)
-
-
 @given(
     st.lists(
         st.lists(st.floats(0.001, 1.0), min_size=1, max_size=4),
@@ -170,7 +163,7 @@ def test_supertag_cutoff_never_empties_a_token(weight_rows, cutoff):
         f"w{i}|X|" + "|".join(f"{cats[j % 4]}:{w:.3f}" for j, w in enumerate(row))
         for i, row in enumerate(weight_rows)
     )
-    ts = ingest_supertags(line, cutoff=cutoff)
+    ts = prune(ingest_supertags(line), cutoff)
     assert len(ts.tokens) == len(weight_rows)
     for token in ts.tokens:
         assert token.candidates
@@ -191,8 +184,11 @@ _GRID = [0.0, 0.01, 0.02, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0]
     ),
     st.lists(st.sampled_from([1.0, 0.5, 0.1, 0.075, 0.03, 0.02, 0.01]), min_size=1, max_size=4, unique=True),
 )
-def test_pruning_the_widest_rung_reads_the_line_at_each_cutoff(rows, cutoffs):
+def test_each_rung_keeps_a_prefix_of_the_next_wider_rung(rows, cutoffs):
     line = " ".join(f"w{i}|X|" + "|".join(f"{cat}:{w}" for cat, w in row) for i, row in enumerate(rows))
-    ladder = sorted(cutoffs, reverse=True)
-    widest = ingest_supertags(line, ladder[-1])
-    assert [prune(widest, c) for c in ladder] == [ingest_supertags(line, c) for c in ladder]
+    every = ingest_supertags(line)
+    # the read itself is the widest rung
+    ladder = [prune(every, c) for c in sorted(cutoffs, reverse=True)] + [every]
+    for narrow, wide in zip(ladder, ladder[1:]):
+        for n, w in zip(narrow.tokens, wide.tokens):
+            assert n.candidates == w.candidates[: len(n.candidates)]

@@ -38,6 +38,7 @@ from ccgplan import (
     parse_category,
     print_category,
 )
+from ccgplan.lexicon import prune
 from ccgplan.rules import DEFAULT_RAISE_TARGETS, RAISE_KINDS
 from derivations import derivations
 from planning import AnnotatedCategory, Asr, replay_plan
@@ -216,8 +217,8 @@ def supertag_lines(draw):
 def test_a_wider_supertag_cutoff_keeps_every_strict_parse(line, rules, normalize, cutoffs):
     cfg = RuleConfig(enabled=rules | APPLICATION, raise_targets=DEFAULT_RAISE_TARGETS[:1], normalize=normalize)
     wide, narrow = sorted(cutoffs)
-    kept = parse_all(ingest_supertags(line, narrow), cfg, STRICT)
-    assert kept <= parse_all(ingest_supertags(line, wide), cfg, STRICT)
+    kept = parse_all(prune(ingest_supertags(line), narrow), cfg, STRICT)
+    assert kept <= parse_all(prune(ingest_supertags(line), wide), cfg, STRICT)
 
 
 @lru_cache(maxsize=None)
