@@ -12,6 +12,7 @@ from ccgplan import (
     parse_category,
     tag_with_lexicon,
 )
+from ccgplan.cli import DEFAULT_CUTOFFS, _rungs, build_parser
 from ccgplan.lexicon import prune
 
 
@@ -95,6 +96,18 @@ def test_supertag_repeated_category_keeps_its_highest_weight():
         (parse_category("NP/N"), 0.9),
         (parse_category("N"), 0.7),
     ]
+
+
+def test_supertag_default_cutoff_is_the_ladders_first_rung(tmp_path):
+    line = "John|NNP|NP:0.9|N:0.05"
+    assert 0.05 < DEFAULT_CUTOFFS[0] * 0.9  # the default prunes N
+    tags = tmp_path / "tagged.txt"
+    tags.write_text(line + "\n")
+    rungs = _rungs(build_parser().parse_args(["parse", "--supertags", str(tags)]))
+    assert [cutoff for cutoff, _ in rungs] == list(DEFAULT_CUTOFFS)
+    first = rungs[0][1]
+    assert first == prune(ingest_supertags(line), DEFAULT_CUTOFFS[0])
+    assert [c.cat for c in first.tokens[0].candidates] == [parse_category("NP")]
 
 
 def test_supertag_reader_keeps_every_candidate():
