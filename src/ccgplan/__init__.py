@@ -1,12 +1,12 @@
 """CCG parsing as canonical plan search.
 
 A sentence's categories are reduced by combinator instances on adjacent
-constituents. The strict search, one candidate combination at a time,
-finds every derivation whose canonical concurrent plan reaches the goal
-within the step bound, with normal-form bans removing spurious duplicates,
-and ``canonical_plan`` rebuilds that plan for any tree; best-effort builds
-one chart over every candidate. A chart parser cross-checks the search, and
-derivations render as text, JSON, or DOT.
+constituents. ``parse_all`` is the one parse call. Under a strict goal it
+finds, over each candidate combination, every derivation whose canonical
+concurrent plan reaches the target within the step bound, with normal-form
+bans removing spurious duplicates; under best-effort it builds one chart
+over every candidate. ``canonical_plan`` rebuilds a tree's plan. A chart
+parser cross-checks the search, and derivations render as text, JSON, or DOT.
 """
 
 from types import ModuleType as _ModuleType
@@ -25,10 +25,8 @@ from .engine import (
     Action,
     ParseGoal,
     Plan,
-    best_effort,
     canonical_plan,
     effective_max_steps,
-    enumerate_parses,
     parse_all,
 )
 from .lexicon import (

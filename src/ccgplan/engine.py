@@ -30,10 +30,10 @@ and reused in every state where they are adjacent. Below that sits the
 rule work of a category pair (or triple): the rule over each combination
 of its inputs, each as it stands or raised, computed once, so a node pair
 only filters that list by height and by the normal-form bans. Categories
-are interned, so the tables hash and compare them by identity. A
-sentence's candidate combinations all have its length, so ``parse_all``
-builds these tables once and its strict searches, one per combination,
-share them. The trees found are exactly those denoted by admissible
+are interned, so the tables hash and compare them by identity.
+``parse_all`` is the one entry point: it builds one table set per call,
+from the rule configuration and the sentence's height bound, and every
+search it runs shares it. The trees found are exactly those denoted by admissible
 canonical plans; ``canonical_plan`` rebuilds the concurrent plan for any
 of them.
 
@@ -47,7 +47,6 @@ only those combinators are enabled, every tree over a combination has
 the sum of its categories' counts at its root, and a strict search whose
 sum differs from the target's count can find nothing: ``parse_all`` does
 not run it. With ``<Sx`` or ``&`` enabled no search is skipped.
-``enumerate_parses`` searches whatever combination it is given.
 
 Best-effort runs no state search but one chart over the candidate lattice
 (Billot & Lang 1989) on the same tables. Cell (i, j) maps each node built
@@ -121,8 +120,8 @@ class _Tables:
     that fit the height bound and the normal-form bans. The rule functions
     are looked up in this module's globals at each call. No entry depends
     on a search's start state or target, so every search over sentences of
-    one length may share a table set: a strict ``parse_all`` builds one per
-    call for all of its combinations, and ``best_effort`` one per chart.
+    one length may share a table set: ``parse_all`` builds one per call,
+    for either goal, and hands it to each strict search or to the chart.
     """
 
     def __init__(self, cfg: RuleConfig, limit: int):
@@ -241,27 +240,18 @@ def _standing(tree: DerivationTree, tables: _Tables) -> list[DerivationTree]:
     return [tree, *[Node(kind, out, (tree,)) for kind, out in tables.raises(tree.cat)]]
 
 
-def enumerate_parses(
-    cats: Iterable[Category], cfg: RuleConfig, goal: ParseGoal, *, tables: _Tables | None = None
-) -> set[DerivationTree]:
+def enumerate_parses(cats: tuple[Category, ...], tables: _Tables, target: Category) -> set[DerivationTree]:
     """All distinct derivation trees over the categories at positions 1..n
-    whose canonical plan reaches the goal within ``max_steps``; empty when
-    it is unreachable. ``tables`` must suit ``cfg`` and n; None builds them."""
-    if goal.target is None:
-        raise ValueError("enumerate_parses handles strict goals; use best_effort")
-    cats = tuple(cats)
-    if tables is None:
-        tables = _Tables(cfg, effective_max_steps(cfg, len(cats)))
-    state = tuple(tables.node(cat, None, 0) for cat in cats)
-    trees = [_materialize(r, cats, tables) for r in _recipes(state, tables, goal.target, {})]
-    raised = [t for tree in trees if tree.cat != goal.target for t in _standing(tree, tables)]
-    return {tree for tree in trees + raised if tree.cat == goal.target}
+    whose canonical plan reaches ``target`` within the tables' height bound;
+    empty when it is unreachable."""
+    state = tuple([tables.node(cat, None, 0) for cat in cats])
+    trees = [_materialize(r, cats, tables) for r in _recipes(state, tables, target, {})]
+    raised = [t for tree in trees if tree.cat != target for t in _standing(tree, tables)]
+    return {tree for tree in trees + raised if tree.cat == target}
 
 
-def best_effort(lattice: Iterable[Iterable[Category]], cfg: RuleConfig) -> tuple[int, set[tuple[DerivationTree, ...]]]:
+def best_effort(lattice: list[list[Category]], tables: _Tables) -> tuple[int, set[tuple[DerivationTree, ...]]]:
     """The fewest items the candidates at positions 1..n reduce to, and every forest of that many."""
-    lattice = list(lattice)
-    tables = _Tables(cfg, effective_max_steps(cfg, len(lattice)))
     # filled left to right, with the segmentations of tokens 0..j-1 into the fewest non-empty cells;
     # a backpointer is (input spans, input node ids, raised node id or None per input)
     cells, best, segmentations = {}, [0], [[()]]
@@ -312,10 +302,10 @@ def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
     Best-effort: the fewest items over the candidate lattice and every
     forest of that many. Leaves carry the sentence's words."""
     words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
-    if goal.target is None:
-        residue, forests = best_effort([[c.cat for c in tok.candidates] for tok in ts.tokens], cfg)
-        return residue, {tuple([attach_words(t, words) for t in forest]) for forest in forests}
     tables = _Tables(cfg, effective_max_steps(cfg, len(ts.tokens)))
+    if goal.target is None:
+        residue, forests = best_effort([[c.cat for c in tok.candidates] for tok in ts.tokens], tables)
+        return residue, {tuple([attach_words(t, words) for t in forest]) for forest in forests}
     # while every enabled rule keeps the atom count, a strict combination
     # whose counts do not sum to the target's has no parse (module docstring)
     counts = None
@@ -327,8 +317,19 @@ def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
         cats = tuple([c.cat for c in combo])
         if counts is not None and not _sums_to([counts[cat] for cat in cats], need):
             continue
-        found.update([attach_words(tree, words) for tree in enumerate_parses(cats, cfg, goal, tables=tables)])
+        found.update([attach_words(tree, words) for tree in enumerate_parses(cats, tables, goal.target)])
     return found
+
+
+def _schedule(node: DerivationTree, time: int, by_time: dict[int, set[Action]]) -> int:
+    """Add ``node``'s action at ``time``, and each below it a step earlier
+    than its parent's, to ``by_time``; the position of its leftmost leaf.
+    Module-level, like ``render._place``, so no closure refers to itself."""
+    if isinstance(node, Leaf):
+        return node.pos
+    positions = tuple([_schedule(c, time - 1, by_time) for c in node.kids])
+    by_time.setdefault(time, set()).add(Action(node.kind, positions, node.cat, time))
+    return positions[0]
 
 
 def canonical_plan(parse: DerivationTree | Sequence[DerivationTree]) -> Plan:
@@ -339,17 +340,8 @@ def canonical_plan(parse: DerivationTree | Sequence[DerivationTree]) -> Plan:
     leaves of its children and outputs the node's category.
     """
     by_time: dict[int, set[Action]] = {}
-
-    def walk(node: DerivationTree, depth: int, height: int) -> int:
-        if isinstance(node, Leaf):
-            return node.pos
-        time = height - 1 - depth
-        positions = tuple(walk(c, depth + 1, height) for c in node.kids)
-        by_time.setdefault(time, set()).add(Action(node.kind, positions, node.cat, time))
-        return positions[0]
-
     for tree in as_forest(parse):
-        walk(tree, 0, tree_height(tree))
+        _schedule(tree, tree_height(tree) - 1, by_time)
     if not by_time:
         return Plan(())
     length = max(by_time) + 1

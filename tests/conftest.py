@@ -1,6 +1,6 @@
 import pytest
 
-from ccgplan import Category, load_lexicon, parse_category
+from ccgplan import Candidate, Category, TaggedSentence, Token, load_lexicon, parse_category
 
 DEMO_LEXICON = "\n".join(
     [
@@ -24,3 +24,10 @@ def demo_lexicon() -> dict[str, tuple[Category, ...]]:
 
 def cat(text: str):
     return parse_category(text)
+
+
+def one_candidate(cats) -> TaggedSentence:
+    """A sentence of the categories at positions 1..n, one candidate per
+    token and no words: ``parse_all`` searches that one combination, and
+    every leaf's word stays ``None``."""
+    return TaggedSentence(tuple([Token(None, (Candidate(c),)) for c in cats]))

@@ -26,16 +26,15 @@ from ccgplan import (
     TaggedSentence,
     Token,
     attach_words,
-    best_effort,
     chart_parse_all,
     effective_max_steps,
-    enumerate_parses,
     parse_all,
     parse_category,
 )
 from ccgplan.rules import DEFAULT_RAISE_TARGETS
 from ccgplan.trees import tree_height
 from brute import brute_best_effort, brute_strict_trees
+from conftest import one_candidate
 from derivations import derivations
 
 C = parse_category
@@ -85,15 +84,20 @@ def test_all_combinators_match_brute_force_strict():
     for case in range(36):
         cats = _sentence(rng, SHAPES)
         cfg = _all_rules_config(case, len(cats))
-        assert enumerate_parses(cats, cfg, goal) == brute_strict_trees(cats, cfg, goal), f"case {case}: {cats} {cfg}"
+        assert parse_all(one_candidate(cats), cfg, goal) == brute_strict_trees(cats, cfg, goal), (
+            f"case {case}: {cats} {cfg}"
+        )
 
 
 def test_all_combinators_match_brute_force_best_effort():
     rng = random.Random(521)
+    goal = ParseGoal.best_effort()
     for case in range(36):
         cats = _sentence(rng, SHAPES)
         cfg = _all_rules_config(case, len(cats))
-        assert best_effort([[c] for c in cats], cfg) == brute_best_effort(cats, cfg), f"case {case}: {cats} {cfg}"
+        assert parse_all(one_candidate(cats), cfg, goal) == brute_best_effort(cats, cfg), (
+            f"case {case}: {cats} {cfg}"
+        )
 
 
 def _oracle_config(case, n):
@@ -218,6 +222,6 @@ def test_best_effort_residue_with_a_raised_root():
 
 def test_strict_root_may_stand_raised_when_it_is_the_target():
     target = C(r"S/(S\NP)")
-    trees = enumerate_parses([C("NP")], RuleConfig(), ParseGoal.strict(target))
+    trees = parse_all(one_candidate([C("NP")]), RuleConfig(), ParseGoal.strict(target))
     assert trees == {Node(K.FWD_RAISE, target, (Leaf(None, C("NP"), 1),))}
-    assert enumerate_parses([C("NP")], RuleConfig(max_steps=1), ParseGoal.strict(target)) == trees
+    assert parse_all(one_candidate([C("NP")]), RuleConfig(max_steps=1), ParseGoal.strict(target)) == trees

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from collections import Counter
@@ -16,21 +17,28 @@ from ccgplan import (
     RuleConfig,
     TaggedSentence,
     Token,
-    best_effort,
+    attach_words,
     binary_instances,
     canonical_plan,
     chart_parse_all,
     check_tree,
-    enumerate_parses,
+    ingest_supertags,
+    leaves,
     load_lexicon,
+    load_rule_config,
     parse_all,
     parse_category,
     tag_with_lexicon,
     ternary_instances,
+    to_ascii,
+    to_dot,
+    to_json,
+    tree_from_json,
     unary_instances,
 )
 from ccgplan.rules import RAISE_KINDS, blocked
 from brute import brute_best_effort, brute_strict_trees
+from conftest import DEMO_LEXICON, one_candidate
 
 C = parse_category
 K = CombinatorKind
@@ -75,32 +83,27 @@ def spurious_tree(words=False):
 
 
 def test_enumerate_golden_sentence():
-    trees = enumerate_parses(DEMO, RuleConfig(), ParseGoal.strict())
+    trees = parse_all(one_candidate(DEMO), RuleConfig(), ParseGoal.strict())
     assert trees == {golden_tree()}
 
 
 def test_enumerate_finds_spurious_tree_without_normalization():
-    trees = enumerate_parses(DEMO, RuleConfig(normalize=False, max_steps=5), ParseGoal.strict())
+    trees = parse_all(one_candidate(DEMO), RuleConfig(normalize=False, max_steps=5), ParseGoal.strict())
     assert spurious_tree() in trees
     assert golden_tree() in trees
 
 
 def test_enumerate_trivial_goal():
-    trees = enumerate_parses([C("S")], RuleConfig(), ParseGoal.strict())
+    trees = parse_all(one_candidate([C("S")]), RuleConfig(), ParseGoal.strict())
     assert trees == {Leaf(None, C("S"), 1)}
 
 
 def test_enumerate_unreachable_goal_is_empty():
-    assert enumerate_parses([C("N"), C("N")], RuleConfig(), ParseGoal.strict()) == set()
-
-
-def test_enumerate_rejects_best_effort_goal():
-    with pytest.raises(ValueError):
-        enumerate_parses(DEMO, RuleConfig(), ParseGoal.best_effort())
+    assert parse_all(one_candidate([C("N"), C("N")]), RuleConfig(), ParseGoal.strict()) == set()
 
 
 def test_all_enumerated_trees_are_sound():
-    trees = enumerate_parses(DEMO, RuleConfig(normalize=False, max_steps=5), ParseGoal.strict())
+    trees = parse_all(one_candidate(DEMO), RuleConfig(normalize=False, max_steps=5), ParseGoal.strict())
     assert all(check_tree(t) for t in trees)
 
 
@@ -158,12 +161,15 @@ def test_each_category_pair_is_combined_once_per_search(monkeypatch, length, nor
 
     monkeypatch.setattr(ccgplan.engine, "unary_instances", recording_unary)
     ts = tag_with_lexicon(PP_WORDS[:length], load_lexicon(PP_LEXICON))
+    cfg = RuleConfig(normalize=normalize)
     trees = set()
     for combo in product(*(tok.candidates for tok in ts.tokens)):
         computed.clear()
         calls.clear()
         raised.clear()
-        trees |= enumerate_parses([c.cat for c in combo], RuleConfig(normalize=normalize), ParseGoal.strict())
+        cats = tuple([c.cat for c in combo])
+        tables = ccgplan.engine._Tables(cfg, ccgplan.engine.effective_max_steps(cfg, len(cats)))
+        trees |= ccgplan.engine.enumerate_parses(cats, tables, ParseGoal.strict().target)
         _check_rule_work(computed, calls)
         repeated = [c for c, times in Counter(raised).items() if times > 1]
         assert raised and not repeated, f"{len(repeated)} categories raised more than once"
@@ -322,13 +328,14 @@ def test_best_effort_the_dog_bit(demo_lexicon):
 
 
 def test_best_effort_single_word():
-    residue, forests = best_effort([[C("N")]], RuleConfig())
+    residue, forests = parse_all(one_candidate([C("N")]), RuleConfig(), ParseGoal.best_effort())
     assert residue == 1
     assert forests == {(Leaf(None, C("N"), 1),)}
 
 
 def test_best_effort_nothing_combines():
-    residue, forests = best_effort([[C("N")], [C("N")]], RuleConfig(enabled={K.FWD_APPL, K.BWD_APPL}))
+    cfg = RuleConfig(enabled={K.FWD_APPL, K.BWD_APPL})
+    residue, forests = parse_all(one_candidate([C("N"), C("N")]), cfg, ParseGoal.best_effort())
     assert residue == 2
     assert forests == {(Leaf(None, C("N"), 1), Leaf(None, C("N"), 2))}
 
@@ -365,7 +372,7 @@ def test_best_effort_residue_of_several_items(demo_lexicon, words, cfg, residue,
     assert len(found[1]) == forests
     assert found == chart_parse_all(ts, cfg, ParseGoal.best_effort())
     cats = [tok.candidates[0].cat for tok in ts.tokens]
-    assert best_effort([[c] for c in cats], cfg) == brute_best_effort(cats, cfg)
+    assert parse_all(one_candidate(cats), cfg, ParseGoal.best_effort()) == brute_best_effort(cats, cfg)
 
 
 # root raises
@@ -383,12 +390,12 @@ def _raised_roots(memo, tables):
 
 # a lone NP reaches S/(S\NP) only raised
 def test_no_memo_entry_holds_a_raised_root():
-    cats, target, cfg = [C("NP")], C(r"S/(S\NP)"), RuleConfig()
+    cats, target, cfg = (C("NP"),), C(r"S/(S\NP)"), RuleConfig()
     tables = ccgplan.engine._Tables(cfg, ccgplan.engine.effective_max_steps(cfg, len(cats)))
     memo = {}
     assert ccgplan.engine._recipes(tuple([tables.node(cat, None, 0) for cat in cats]), tables, target, memo)
     assert _raised_roots(memo, tables) == []
-    assert len(enumerate_parses(cats, cfg, ParseGoal.strict(target), tables=tables)) == 1
+    assert len(ccgplan.engine.enumerate_parses(cats, tables, target)) == 1
 
 
 # parse_all
@@ -410,17 +417,6 @@ def test_parse_all_unions_over_candidates():
     assert trees == {golden_tree(words=True)}
 
 
-def test_the_search_takes_any_iterable_of_categories():
-    cfg = RuleConfig(normalize=False, max_steps=5)
-    trees = enumerate_parses(list(DEMO), cfg, ParseGoal.strict())
-    assert len(trees) > 1
-    assert enumerate_parses(DEMO, cfg, ParseGoal.strict()) == trees
-    assert enumerate_parses((c for c in DEMO), cfg, ParseGoal.strict()) == trees
-    fallback = best_effort([[c] for c in DEMO[:3]], cfg)
-    assert best_effort(tuple((c,) for c in DEMO[:3]), cfg) == fallback
-    assert best_effort(((c,) for c in DEMO[:3]), cfg) == fallback
-
-
 # canonical plans
 
 
@@ -431,6 +427,47 @@ def test_canonical_plan_of_golden_tree_is_the_concurrent_plan():
 
 def test_canonical_plan_of_leaf_is_empty():
     assert canonical_plan(Leaf(None, C("S"), 1)).steps == ()
+
+
+# reference cycles
+
+_WORDS = ["The", "dog", "bit", "John"]
+_LEXICON = load_lexicon(DEMO_LEXICON)
+_GOLDEN_JSON = to_json(golden_tree(words=True))
+_FOREST = (Node(K.FWD_APPL, C("NP"), (Leaf(None, C("NP/N"), 1), Leaf(None, C("N"), 2))), Leaf(None, C("S/NP"), 3))
+PUBLIC_CALLS = {
+    "parse_all strict": lambda: parse_all(tag_with_lexicon(_WORDS, _LEXICON), RuleConfig(), ParseGoal.strict()),
+    "parse_all best-effort": lambda: parse_all(one_candidate(DEMO[:3]), RuleConfig(), ParseGoal.best_effort()),
+    "chart_parse_all": lambda: chart_parse_all(one_candidate(DEMO), RuleConfig(), ParseGoal.strict()),
+    "to_ascii": lambda: to_ascii(golden_tree(words=True)),
+    "to_json": lambda: to_json(golden_tree(words=True)),
+    "to_dot": lambda: to_dot(golden_tree(words=True)),
+    "check_tree": lambda: check_tree(golden_tree()),
+    "tree_from_json": lambda: tree_from_json(_GOLDEN_JSON),
+    "load_lexicon": lambda: load_lexicon(DEMO_LEXICON),
+    "tag_with_lexicon": lambda: tag_with_lexicon(_WORDS, _LEXICON),
+    "ingest_supertags": lambda: ingest_supertags("The|DT|NP/N:0.9 dog|NN|N:0.9|NP:0.1"),
+    "load_rule_config": lambda: load_rule_config("rules = >, <, >B\nmax_steps = 4\n"),
+    "attach_words": lambda: attach_words(golden_tree(), dict(enumerate(_WORDS, 1))),
+    "leaves": lambda: leaves(golden_tree()),
+    "canonical_plan tree": lambda: canonical_plan(golden_tree()),
+    "canonical_plan forest": lambda: canonical_plan(_FOREST),
+}
+
+
+@pytest.mark.parametrize("call", PUBLIC_CALLS.values(), ids=PUBLIC_CALLS.keys())
+def test_a_public_call_leaves_no_cyclic_garbage(call):
+    # with no cycles, reference counting frees all a call allocates, so a
+    # caller that pauses the collector around it defers no garbage
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert call()
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # cross-check against the brute-force concurrent-plan search
@@ -460,7 +497,7 @@ def test_engine_matches_brute_force_concurrent_search():
     for case in range(32):
         cats = _random_cats(rng)
         cfg = _quadrant_config(case, len(cats))
-        assert enumerate_parses(cats, cfg, goal) == brute_strict_trees(cats, cfg, goal), (
+        assert parse_all(one_candidate(cats), cfg, goal) == brute_strict_trees(cats, cfg, goal), (
             f"case {case}: {[str(c) for c in cats]}"
         )
 
@@ -470,7 +507,7 @@ def test_engine_best_effort_matches_brute_force():
     for case in range(12):
         cats = _random_cats(rng)
         cfg = _quadrant_config(case, len(cats))
-        assert best_effort([[c] for c in cats], cfg) == brute_best_effort(cats, cfg)
+        assert parse_all(one_candidate(cats), cfg, ParseGoal.best_effort()) == brute_best_effort(cats, cfg)
 
 
 def test_canonical_plans_are_unique_per_tree_for_application_only():

@@ -13,3 +13,9 @@ def test_star_import_binds_every_export():
     namespace = {}
     exec("from ccgplan import *", namespace)
     assert set(ccgplan.__all__) <= set(namespace)
+
+
+def test_parse_all_is_the_one_parse_call():
+    # the strict search and the best-effort chart are steps of parse_all
+    assert {"enumerate_parses", "best_effort"}.isdisjoint(ccgplan.__all__)
+    assert {"parse_all", "chart_parse_all", "canonical_plan"} <= set(ccgplan.__all__)

@@ -28,10 +28,8 @@ from ccgplan import (
     TaggedSentence,
     Token,
     attach_words,
-    best_effort,
     canonical_plan,
     check_tree,
-    enumerate_parses,
     ingest_supertags,
     leaves,
     parse_all,
@@ -40,6 +38,7 @@ from ccgplan import (
 )
 from ccgplan.lexicon import prune
 from ccgplan.rules import DEFAULT_RAISE_TARGETS, RAISE_KINDS
+from conftest import one_candidate
 from derivations import derivations
 from planning import AnnotatedCategory, Asr, replay_plan
 from semantics import reading
@@ -183,15 +182,15 @@ def test_strict_parses_are_the_residue_one_trees_rooted_at_the_target(case):
 def test_parse_all_is_the_union_of_one_fresh_search_per_combination(case):
     """``parse_all``'s strict searches share one table set, and its
     best-effort chart holds every candidate at once; they find what one
-    fresh search per combination finds."""
+    fresh call per combination finds, on a sentence of that combination."""
     ts, cfg = case
     words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
     trees = set()
     fallbacks = []
     for combo in product(*(tok.candidates for tok in ts.tokens)):
         cats = [c.cat for c in combo]
-        trees |= {attach_words(t, words) for t in enumerate_parses(cats, cfg, STRICT)}
-        residue, forests = best_effort([[c] for c in cats], cfg)
+        trees |= {attach_words(t, words) for t in parse_all(one_candidate(cats), cfg, STRICT)}
+        residue, forests = parse_all(one_candidate(cats), cfg, ParseGoal.best_effort())
         fallbacks.append((residue, {tuple(attach_words(t, words) for t in forest) for forest in forests}))
     best = min(residue for residue, _ in fallbacks)
     assert parse_all(ts, cfg, STRICT) == trees
@@ -255,8 +254,8 @@ def test_composition_chains_have_one_parse_per_bracketing_within_the_height_boun
     goal = ParseGoal.strict(parse_category("A0"))
     for height in range(1, n + 2):
         cfg = RuleConfig(enabled=CHAIN_RULES[forward], max_steps=height)
-        off = enumerate_parses(chain(n, forward), replace(cfg, normalize=False), goal)
-        on = enumerate_parses(chain(n, forward), cfg, goal)
+        off = parse_all(one_candidate(chain(n, forward)), replace(cfg, normalize=False), goal)
+        on = parse_all(one_candidate(chain(n, forward)), cfg, goal)
         assert (len(off), len(on)) == (bracketings(n, height), int(height >= n - 1)), height
 
 

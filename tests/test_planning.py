@@ -16,11 +16,11 @@ from ccgplan import (
     Leaf,
     ParseGoal,
     RuleConfig,
-    best_effort,
     canonical_plan,
-    enumerate_parses,
+    parse_all,
     parse_category,
 )
+from conftest import one_candidate
 from planning import AnnotatedCategory, Asr, applicable_actions, banned, replay_plan, step
 from test_engine import DEMO, c1, c2, c3, golden_tree
 
@@ -231,7 +231,7 @@ def test_canonical_plan_replays_to_goal():
 def test_canonical_plan_of_forest_schedules_both_trees():
     cats = [C("A/B"), C("B"), C("C/D"), C("D")]
     cfg = RuleConfig(enabled={K.FWD_APPL, K.BWD_APPL})
-    residue, forests = best_effort([[c] for c in cats], cfg)
+    residue, forests = parse_all(one_candidate(cats), cfg, ParseGoal.best_effort())
     assert residue == 2
     forest = next(f for f in forests if all(not isinstance(t, Leaf) for t in f))
     plan = canonical_plan(forest)
@@ -260,7 +260,7 @@ def _plan_is_canonical(plan, initial, cfg):
 
 def test_levelized_plans_replay_canonically():
     cfg = RuleConfig(normalize=False, max_steps=5)
-    for tree in enumerate_parses(DEMO, cfg, ParseGoal.strict()):
+    for tree in parse_all(one_candidate(DEMO), cfg, ParseGoal.strict()):
         plan = canonical_plan(tree)
         assert len(plan.steps) <= 5
         assert _plan_is_canonical(plan, demo_asr(), cfg)
