@@ -50,19 +50,22 @@ not run it. With ``<Sx`` or ``&`` enabled no search is skipped.
 
 Best-effort runs no state search but one chart over the candidate lattice
 (Billot & Lang 1989) on the same tables. Cell (i, j) maps each node built
-over tokens i..j-1 to its backpointers. A segmentation takes each segment's
-candidates on its own, so its segmentations into the fewest non-empty cells
-give the fewest items over all combinations, and every forest of that many.
+over tokens i..j-1 to its backpointers, and only non-empty cells are kept.
+For each end j a start index lists the starts of its cells: a span tries
+only splits into cells that exist, and segmentations are read from it too.
+A segmentation takes each segment's candidates on its own, so its
+segmentations into the fewest cells give the fewest items over all
+combinations, and every forest of that many. Leaves carry their words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Sequence
 
 from .categories import Category
-from .lexicon import TaggedSentence
+from .lexicon import TaggedSentence, Token
 from .rules import (
     COUNT_KEEPING_KINDS,
     CombinatorKind,
@@ -250,23 +253,36 @@ def enumerate_parses(cats: tuple[Category, ...], tables: _Tables, target: Catego
     return {tree for tree in trees + raised if tree.cat == target}
 
 
-def best_effort(lattice: list[list[Category]], tables: _Tables) -> tuple[int, set[tuple[DerivationTree, ...]]]:
-    """The fewest items the candidates at positions 1..n reduce to, and every forest of that many."""
-    # filled left to right, with the segmentations of tokens 0..j-1 into the fewest non-empty cells;
+def _chart(tokens: Sequence[Token], tables: _Tables) -> tuple[dict, list[list[int]]]:
+    """The non-empty cells over the candidates of ``tokens``, and per end j its cells' starts, descending."""
     # a backpointer is (input spans, input node ids, raised node id or None per input)
-    cells, best, segmentations = {}, [0], [[()]]
-    for j, cats in enumerate(lattice, 1):
-        cells[(j - 1, j)] = {tables.node(cat, None, 0): [] for cat in cats}
+    cells, starts = {}, [[]]
+    for j, tok in enumerate(tokens, 1):
+        cells[(j - 1, j)] = {tables.node(c.cat, None, 0): [] for c in tok.candidates}
+        starts.append([j - 1])
         for i in range(j - 2, -1, -1):
-            cell = cells[(i, j)] = {}
-            for cuts in [c for arity in tables.arities for c in combinations(range(i + 1, j), arity - 1)]:
-                spans = tuple(zip((i, *cuts), (*cuts, j)))
+            splits = [((i, k), (k, j)) for k in starts[j] if (i, k) in cells]
+            if 3 in tables.arities:
+                splits += [((i, k), (k, m), (m, j)) for m in starts[j] for k in starts[m] if k > i and (i, k) in cells]
+            cell = {}
+            for spans in splits:
                 for key in product(*[cells[span] for span in spans]):
                     for merged, raises in tables.reductions(key):
                         cell.setdefault(merged, []).append((spans, key, raises))
-        ends = [i for i in range(j) if cells[(i, j)]]
-        best.append(min([best[i] + 1 for i in ends]))
-        segmentations.append([(*s, (i, j)) for i in ends if best[i] + 1 == best[j] for s in segmentations[i]])
+            if cell:
+                cells[(i, j)] = cell
+                starts[j].append(i)
+    return cells, starts
+
+
+def best_effort(tokens: Sequence[Token], tables: _Tables) -> tuple[int, set[tuple[DerivationTree, ...]]]:
+    """The fewest items the candidates of ``tokens`` reduce to, and every forest of that many."""
+    cells, starts = _chart(tokens, tables)
+    # the segmentations of tokens 0..j-1 into the fewest cells
+    best, segmentations = [0], [[()]]
+    for j in range(1, len(tokens) + 1):
+        best.append(min([best[i] + 1 for i in starts[j]]))
+        segmentations.append([(*s, (i, j)) for i in starts[j] if best[i] + 1 == best[j] for s in segmentations[i]])
     # each (span, node) of the answer is unpacked once, after the (span, node)s below it
     trees: dict = {}
     todo = [(span, nid) for spans in segmentations[-1] for span in spans for nid in cells[span]]
@@ -277,7 +293,7 @@ def best_effort(lattice: list[list[Category]], tables: _Tables) -> tuple[int, se
             todo += [item, *below]
         elif item not in trees:
             cat, kind, _ = tables.nodes[nid]
-            trees[item] = [] if kind else [Leaf(None, cat, span[1])]
+            trees[item] = [] if kind else [Leaf(tokens[span[0]].word, cat, span[1])]
             for spans, key, raises in cells[span][nid]:
                 inputs = [trees[pair] for pair in zip(spans, key)]
                 for x, (out, rule, _) in [(x, tables.nodes[r]) for x, r in enumerate(raises) if r is not None]:
@@ -301,11 +317,10 @@ def parse_all(ts: TaggedSentence, cfg: RuleConfig, goal: ParseGoal):
     """Strict: every derivation tree over any candidate combination.
     Best-effort: the fewest items over the candidate lattice and every
     forest of that many. Leaves carry the sentence's words."""
-    words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
     tables = _Tables(cfg, effective_max_steps(cfg, len(ts.tokens)))
     if goal.target is None:
-        residue, forests = best_effort([[c.cat for c in tok.candidates] for tok in ts.tokens], tables)
-        return residue, {tuple([attach_words(t, words) for t in forest]) for forest in forests}
+        return best_effort(ts.tokens, tables)
+    words = {i + 1: tok.word for i, tok in enumerate(ts.tokens)}
     # while every enabled rule keeps the atom count, a strict combination
     # whose counts do not sum to the target's has no parse (module docstring)
     counts = None

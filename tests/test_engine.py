@@ -278,7 +278,9 @@ def test_parse_all_searches_only_the_strict_combinations_that_can_balance(monkey
     assert strict == [(C("NP"), C(r"S\NP"))]
     # best-effort has no target to balance to: its one chart holds both
     assert parse_all(SLEEPS, RuleConfig(), ParseGoal.best_effort())[0] == 1
-    assert fallback == [([C("NP")], [C(r"(S\NP)/NP"), C(r"S\NP")])]
+    assert [[[c.cat for c in tok.candidates] for tok in tokens] for tokens in fallback] == [
+        [[C("NP")], [C(r"(S\NP)/NP"), C(r"S\NP")]]
+    ]
 
 
 OFF_LEXICON = "\n".join(
@@ -338,6 +340,48 @@ def test_best_effort_nothing_combines():
     residue, forests = parse_all(one_candidate([C("N"), C("N")]), cfg, ParseGoal.best_effort())
     assert residue == 2
     assert forests == {(Leaf(None, C("N"), 1), Leaf(None, C("N"), 2))}
+
+
+def test_best_effort_leaves_take_their_words_from_the_chart(monkeypatch, demo_lexicon):
+    def no_attach(*args):
+        raise AssertionError("best-effort leaves carry their words as the chart builds them")
+
+    monkeypatch.setattr(ccgplan.engine, "attach_words", no_attach)
+    ts = tag_with_lexicon(["The", "dog", "bit"], demo_lexicon)
+    residue, forests = parse_all(ts, RuleConfig(), ParseGoal.best_effort())
+    assert residue == 1 and len(forests) == 1
+    assert [lf.word for forest in forests for tree in forest for lf in leaves(tree)] == ["The", "dog", "bit"]
+
+
+def _chart_of(ts, cfg):
+    """The best-effort chart of ``ts``, checked against its contract: no
+    stored cell is empty, and ``starts[j]`` lists the start of every cell
+    ending at j, in descending order."""
+    tables = ccgplan.engine._Tables(cfg, ccgplan.engine.effective_max_steps(cfg, len(ts.tokens)))
+    cells, starts = ccgplan.engine._chart(ts.tokens, tables)
+    assert all(cells.values())
+    assert starts == [sorted([i for i, k in cells if k == j], reverse=True) for j in range(len(ts.tokens) + 1)]
+    return cells
+
+
+def test_the_chart_keeps_only_its_non_empty_cells():
+    # the functor chain A0/A1 … A254/A255 A255 under application alone
+    # reduces only its suffixes: n leaves and n - 1 longer cells
+    n = 256
+    chain = one_candidate([C(f"A{i}/A{i + 1}") for i in range(n - 1)] + [C(f"A{n - 1}")])
+    assert len(_chart_of(chain, RuleConfig(enabled=frozenset({K.FWD_APPL, K.BWD_APPL})))) == 2 * n - 1
+    # NP/NP … NP/NP NP composes over every span
+    n = 32
+    assert len(_chart_of(one_candidate([C("NP/NP")] * (n - 1) + [C("NP")]), RuleConfig())) == n * (n + 1) // 2
+
+
+def test_the_chart_splits_a_coordination_into_non_empty_cells():
+    ts = one_candidate([C("NP"), C("conj"), C("NP"), C("conj"), C("NP")])
+    cfg = RuleConfig(enabled=RuleConfig().enabled | {K.COORD})
+    assert (0, 5) in _chart_of(ts, cfg)
+    found = parse_all(ts, cfg, ParseGoal.best_effort())
+    assert found[0] == 1
+    assert found == chart_parse_all(ts, cfg, ParseGoal.best_effort())
 
 
 def _two_candidate_line(n):
